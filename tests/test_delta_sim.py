@@ -1,237 +1,23 @@
-"""Incremental delta re-simulation and the simulation-session API.
+"""Checkpointed resume of a search that checkpoints every iteration.
 
-The load-bearing contract: **delta-on is bit-identical to delta-off** —
-a :class:`DeltaMove` hint may only change wall clock, never a result.
-Enforced here at three levels:
-
-* per-benchmark synthesis trajectories (``delta_sim=True`` vs ``False``),
-* individual resumed traces against from-scratch simulations
-  (event-by-event, on a configuration known to actually resume),
-* delta × ``early_cutoff`` interaction (bound cache entries stay bound).
-
-Plus the session API itself (facade argument validation, store LRU,
-checkpointed warm sessions) and the legacy ``estimate_layout`` /
-``SchedulingSimulator`` shims — exact old semantics behind a
-``DeprecationWarning``.
+Simulation sessions are per-evaluator scratch state and are not written
+to checkpoints; a resumed search rebuilds them cold. The contract kept
+here is that this cannot show in the result: a search interrupted after
+one iteration and resumed from its checkpoint — while still writing
+checkpoints on every iteration — retraces the uninterrupted run exactly.
 """
 
-import pytest
-
 from repro.bench import get_spec, load_benchmark
-from repro.core import SynthesisOptions, profile_program, synthesize_layout
-from repro.lang.errors import ScheduleError
+from repro.core import SynthesisOptions, synthesize_layout
 from repro.schedule.anneal import AnnealConfig
-from repro.schedule.layout import Layout
-from repro.schedule.mapping import with_instance_moved
-from repro.schedule.simulator import (
-    DeltaMove,
-    SchedulingSimulator,
-    SessionStore,
-    SimSession,
-    estimate_layout,
-    simulate,
-)
 
-from test_search import SMALL_ARGS, SMALL_ANNEAL, report_fingerprint, small_profile
-
-
-def small_synthesis(name, anneal=None, **options_kw):
-    compiled = load_benchmark(name)
-    profile = small_profile(name)
-    options = SynthesisOptions(
-        anneal=anneal or AnnealConfig(seed=7, **SMALL_ANNEAL),
-        hints=get_spec(name).hints,
-        **options_kw,
-    )
-    return synthesize_layout(compiled, profile, 4, options=options)
-
-
-def trace_data(result):
-    """A SimResult's complete observable content, as comparable data."""
-    return (
-        result.total_cycles,
-        result.finished,
-        result.pruned,
-        repr(result.utilization),
-        sorted(result.core_busy.items()),
-        sorted(result.invocations.items()),
-        [
-            (e.event_id, e.task, e.core, e.start, e.end, e.exit_id,
-             e.data_ready, tuple(e.param_objects), tuple(e.inputs),
-             tuple(e.produced))
-            for e in result.trace
-        ],
-    )
-
-
-@pytest.fixture(scope="module")
-def tracking_context():
-    compiled = load_benchmark("Tracking")
-    profile = profile_program(compiled, SMALL_ARGS["Tracking"])
-    return compiled, profile
-
-
-class TestDeltaIdentity:
-    @pytest.mark.parametrize("name", sorted(SMALL_ARGS))
-    def test_synthesis_identical_with_and_without_delta(self, name):
-        on = small_synthesis(name, delta_sim=True)
-        off = small_synthesis(name, delta_sim=False)
-        assert report_fingerprint(on) == report_fingerprint(off)
-
-    def test_resumed_traces_equal_full_simulations(self, tracking_context):
-        """On a configuration that provably resumes, every child's trace
-        is event-for-event identical to a from-scratch simulation."""
-        compiled, profile = tracking_context
-        session = SimSession(
-            compiled, profile, snapshot_interval=32, min_resume_events=16
-        )
-        parent = Layout.make(4, {t: [0] for t in compiled.info.tasks})
-        session.simulate(parent)
-        parent_fp = session.fingerprint(parent)
-        for task in compiled.info.tasks:
-            try:
-                child = with_instance_moved(parent, task, 0, 1)
-                child.validate(compiled.info)
-            except ScheduleError:
-                continue
-            resumed = session.simulate(
-                child, delta=DeltaMove(parent_fp, task)
-            )
-            fresh = simulate(compiled, child, profile)
-            assert trace_data(resumed) == trace_data(fresh)
-        stats = session.stats()
-        # The configuration is chosen to actually exercise the machinery:
-        # at least one warm-up and one real resume must have happened.
-        assert stats["parent_warmups"] >= 1
-        assert stats["delta_resumes"] >= 1
-        assert stats["events_skipped"] > 0
-
-    def test_delta_with_early_cutoff_identical(self):
-        anneal = AnnealConfig(seed=7, early_cutoff=True, **SMALL_ANNEAL)
-        on = small_synthesis("Tracking", delta_sim=True, anneal=anneal)
-        off = small_synthesis("Tracking", delta_sim=False, anneal=anneal)
-        assert report_fingerprint(on) == report_fingerprint(off)
-
-    def test_cutoff_resume_matches_cutoff_full_run(self, tracking_context):
-        """A delta simulation under a cutoff reproduces the pruned result
-        of a full cutoff run exactly (the snapshot-validity rule)."""
-        compiled, profile = tracking_context
-        session = SimSession(
-            compiled, profile, snapshot_interval=32, min_resume_events=16
-        )
-        parent = Layout.make(4, {t: [0] for t in compiled.info.tasks})
-        full = session.simulate(parent)
-        parent_fp = session.fingerprint(parent)
-        cutoff = full.total_cycles // 2
-        for task in compiled.info.tasks:
-            try:
-                child = with_instance_moved(parent, task, 0, 1)
-                child.validate(compiled.info)
-            except ScheduleError:
-                continue
-            resumed = session.simulate(
-                child, cutoff=cutoff, delta=DeltaMove(parent_fp, task)
-            )
-            fresh = simulate(compiled, child, profile, cutoff=cutoff)
-            assert trace_data(resumed) == trace_data(fresh)
-
-    def test_bad_hints_are_harmless(self, tracking_context):
-        """Wrong parent, unknown task, non-adjacent layouts: every bad
-        hint falls back to a full simulation with identical results."""
-        compiled, profile = tracking_context
-        session = SimSession(
-            compiled, profile, snapshot_interval=32, min_resume_events=16
-        )
-        parent = Layout.make(4, {t: [0] for t in compiled.info.tasks})
-        session.simulate(parent)
-        parent_fp = session.fingerprint(parent)
-        tasks = list(compiled.info.tasks)
-        child = with_instance_moved(parent, tasks[0], 0, 2)
-        reference = trace_data(simulate(compiled, child, profile))
-        for hint in (
-            DeltaMove("no-such-parent", tasks[0]),
-            DeltaMove(parent_fp, "no-such-task"),
-            DeltaMove(parent_fp, tasks[-1]),  # names the wrong move
-        ):
-            got = session.simulate(child, delta=hint)
-            assert trace_data(got) == reference
-
-
-class TestSessionApi:
-    def test_facade_rejects_per_call_knobs_with_session(
-        self, tracking_context
-    ):
-        compiled, profile = tracking_context
-        session = SimSession(compiled, profile)
-        layout = Layout.make(4, {t: [0] for t in compiled.info.tasks})
-        other_profile = profile_program(compiled, SMALL_ARGS["Tracking"])
-        with pytest.raises(ScheduleError, match="session"):
-            simulate(compiled, layout, other_profile, session=session)
-        with pytest.raises(ScheduleError, match="session"):
-            simulate(
-                compiled, layout, session=session, hints={"x": "per_object"}
-            )
-        with pytest.raises(ScheduleError, match="profile"):
-            simulate(compiled, layout)
-
-    def test_facade_with_session_matches_sessionless(self, tracking_context):
-        compiled, profile = tracking_context
-        session = SimSession(compiled, profile)
-        layout = Layout.make(4, {t: [0] for t in compiled.info.tasks})
-        with_session = simulate(compiled, layout, session=session)
-        without = simulate(compiled, layout, profile)
-        assert trace_data(with_session) == trace_data(without)
-
-    def test_store_is_lru_bounded(self, tracking_context):
-        compiled, profile = tracking_context
-        store = SessionStore(max_parents=2)
-        session = SimSession(
-            compiled, profile, store=store,
-            snapshot_interval=32, min_resume_events=16,
-        )
-        layouts = [
-            Layout.make(4, {t: [core] for t in compiled.info.tasks})
-            for core in range(4)
-        ]
-        for layout in layouts:
-            session.simulate(layout)
-        assert len(store) <= 2
-
-    def test_store_state_round_trip(self, tracking_context):
-        compiled, profile = tracking_context
-        store = SessionStore()
-        session = SimSession(
-            compiled, profile, store=store,
-            snapshot_interval=32, min_resume_events=16,
-        )
-        parent = Layout.make(4, {t: [0] for t in compiled.info.tasks})
-        session.simulate(parent)
-        restored = SessionStore()
-        restored.restore(store.state())
-        assert len(restored) == len(store)
-        fp = session.fingerprint(parent)
-        assert restored.get(fp) is not None
-
-    def test_all_public_symbols_import(self):
-        import repro
-        import repro.schedule
-        import repro.search
-        import repro.serve
-
-        for module in (repro, repro.schedule, repro.search, repro.serve):
-            for name in module.__all__:
-                assert not name.startswith("_"), (module.__name__, name)
-                assert hasattr(module, name), (module.__name__, name)
-        # The session API is part of the top-level surface.
-        for name in ("simulate", "SimSession", "DeltaMove", "SimResult"):
-            assert name in repro.__all__
-            assert name in repro.schedule.__all__
+from test_search import SMALL_ANNEAL, report_fingerprint, small_profile
 
 
 class TestWarmSessionCheckpoint:
     def test_resume_with_warm_sessions_is_bit_identical(self, tmp_path):
-        """An interrupted search resumed from its checkpoint — session
-        store included — retraces the uninterrupted run exactly."""
+        """An interrupted search resumed from its checkpoint retraces the
+        uninterrupted run exactly."""
         compiled = load_benchmark("Tracking")
         profile = small_profile("Tracking")
         anneal = AnnealConfig(seed=7, checkpoint_every=1, **SMALL_ANNEAL)
@@ -261,62 +47,3 @@ class TestWarmSessionCheckpoint:
             ),
         )
         assert report_fingerprint(resumed) == report_fingerprint(baseline)
-
-    def test_checkpoint_carries_session_state(self, tmp_path):
-        from repro.search.checkpoint import read_checkpoint
-
-        compiled = load_benchmark("Tracking")
-        profile = small_profile("Tracking")
-        path = str(tmp_path / "search.ckpt")
-        synthesize_layout(
-            compiled, profile, 4,
-            options=SynthesisOptions(
-                anneal=AnnealConfig(
-                    seed=7, checkpoint_every=1, **SMALL_ANNEAL
-                ),
-                hints=get_spec("Tracking").hints,
-                checkpoint_path=path,
-            ),
-        )
-        state = read_checkpoint(path)
-        assert state.cache_state is not None
-        assert "sessions" in state.cache_state
-        assert state.candidate_deltas is not None
-        assert len(state.candidate_deltas) == len(state.candidates)
-
-
-class TestLegacyShims:
-    def test_estimate_layout_warns_and_matches(self, tracking_context):
-        compiled, profile = tracking_context
-        layout = Layout.make(4, {t: [0] for t in compiled.info.tasks})
-        with pytest.warns(DeprecationWarning, match="estimate_layout"):
-            legacy = estimate_layout(compiled, layout, profile)
-        assert trace_data(legacy) == trace_data(
-            simulate(compiled, layout, profile)
-        )
-
-    def test_scheduling_simulator_warns_and_matches(self, tracking_context):
-        compiled, profile = tracking_context
-        layout = Layout.make(4, {t: [0] for t in compiled.info.tasks})
-        with pytest.warns(DeprecationWarning, match="SchedulingSimulator"):
-            sim = SchedulingSimulator(compiled, layout, profile)
-        assert trace_data(sim.run()) == trace_data(
-            simulate(compiled, layout, profile)
-        )
-
-    def test_removal_version_is_stated(self):
-        import warnings
-
-        from repro.core.options import SHIM_REMOVAL_VERSION
-
-        compiled = load_benchmark("Keyword")
-        layout = Layout.make(
-            1, {t: [0] for t in compiled.info.tasks}
-        )
-        profile = small_profile("Keyword")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            estimate_layout(compiled, layout, profile)
-        assert any(
-            SHIM_REMOVAL_VERSION in str(w.message) for w in caught
-        )

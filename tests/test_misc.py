@@ -149,3 +149,20 @@ class TestCFGShapes:
             for succ in block.successors():
                 # In an acyclic function, successors come later.
                 assert position[succ] > position[block.block_id]
+
+
+class TestPackaging:
+    def test_pyproject_takes_version_from_the_package(self):
+        import pathlib
+        import tomllib
+
+        import repro
+
+        pyproject = pathlib.Path(__file__).parent.parent / "pyproject.toml"
+        config = tomllib.loads(pyproject.read_text())
+        assert "version" not in config["project"]
+        assert "version" in config["project"]["dynamic"]
+        assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro.__version__"
+        }
+        assert repro.__version__

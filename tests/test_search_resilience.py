@@ -42,6 +42,7 @@ from repro.schedule.anneal import (
     directed_simulated_annealing,
 )
 from repro.search import (
+    CHECKPOINT_FORMAT,
     CheckpointError,
     HostChaosPlan,
     HostFault,
@@ -313,11 +314,26 @@ class TestCheckpointFile:
 
     def test_unknown_format_is_rejected(self, tmp_path):
         path = str(tmp_path / "old.ckpt")
-        open(path, "wb").write(
-            b'{"digest": "", "format": "repro.search/checkpoint-v0"}\n'
+        for version in ("v0", "v2"):
+            open(path, "wb").write(
+                b'{"digest": "", "format": "repro.search/checkpoint-'
+                + version.encode()
+                + b'"}\n'
+            )
+            with pytest.raises(CheckpointError, match="checkpoint-" + version):
+                read_checkpoint(path)
+
+    def test_checkpoint_carries_no_session_state(self, tmp_path):
+        path = str(tmp_path / "search.ckpt")
+        synthesize_layout(
+            load_benchmark("Tracking"), small_profile("Tracking"), 4,
+            options=_small_options("Tracking", checkpoint_path=path),
         )
-        with pytest.raises(CheckpointError, match="checkpoint-v0"):
-            read_checkpoint(path)
+        state = read_checkpoint(path)
+        assert set(state.cache_state) == {
+            "entries", "hits", "misses", "evictions", "bound_misses",
+        }
+        assert not hasattr(state, "candidate_deltas")
 
     def test_newer_version_refused_naming_both_versions(self, tmp_path):
         # A structurally valid record from a future release: correct
@@ -334,7 +350,7 @@ class TestCheckpointFile:
             read_checkpoint(path)
         message = str(excinfo.value)
         assert "repro.search/checkpoint-v999" in message
-        assert "repro.search/checkpoint-v2" in message
+        assert CHECKPOINT_FORMAT in message
         assert "digest" not in message
         assert "pickle" not in message
 

@@ -56,6 +56,12 @@ REQUEST = dict(
 )
 
 
+#: A request that keeps the daemon busy long enough for a second client
+#: to arrive while it is still in flight (the larger input makes every
+#: candidate simulation several times longer than REQUEST's).
+SLOW = dict(seed=0, args=["48"], max_iterations=50, max_evaluations=2000)
+
+
 def offline_result(**overrides):
     params = dict(REQUEST, **overrides)
     result, _telemetry = execute_synthesize(params)
@@ -430,10 +436,9 @@ class TestServing:
         # Capacity 1: one slow request occupies the daemon; a *distinct*
         # second request must be shed, not queued.
         config = ServeConfig(max_concurrency=1, queue_limit=0)
-        slow = dict(seed=0, max_iterations=50, max_evaluations=2000)
         with ServerThread(config) as handle:
             background = threading.Thread(
-                target=lambda: served_synthesize(handle.client(), **slow)
+                target=lambda: served_synthesize(handle.client(), **SLOW)
             )
             background.start()
             with handle.client() as client:
@@ -448,12 +453,11 @@ class TestServing:
 
     def test_identical_inflight_requests_coalesce(self):
         config = ServeConfig(max_concurrency=1, queue_limit=0)
-        slow = dict(seed=0, max_iterations=50, max_evaluations=2000)
         first = {}
 
         def leader(handle):
             with handle.client() as client:
-                result, telemetry = served_synthesize(client, **slow)
+                result, telemetry = served_synthesize(client, **SLOW)
             first["result"] = result
             first["telemetry"] = telemetry
 
@@ -466,7 +470,7 @@ class TestServing:
                 # onto the running execution even though the daemon is at
                 # capacity (a distinct request would be shed — proven by
                 # test_admission_control_sheds_excess).
-                result, telemetry = served_synthesize(client, **slow)
+                result, telemetry = served_synthesize(client, **SLOW)
                 assert telemetry.get("coalesced") is True
                 metrics = client.metrics()
                 assert metrics["counters"]["serve_coalesced"] == 1

@@ -1,11 +1,19 @@
 """Scheduling simulator tests (paper §4.4)."""
 
+import random
+
 import pytest
 
+from repro.bench import PAPER_BENCHMARKS, load_benchmark
 from repro.core import run_layout, single_core_layout
+from repro.lang.errors import ScheduleError
 from repro.runtime.profiler import ProfileData
+from repro.schedule.coregroup import task_is_replicable
 from repro.schedule.layout import Layout
-from repro.schedule.simulator import ExitChooser, simulate
+from repro.schedule.mapping import with_instance_added, with_instance_moved
+from repro.schedule.simulator import ExitChooser, SimSession, simulate
+
+from test_search import small_profile
 
 
 def quad_layout(compiled):
@@ -156,3 +164,120 @@ class TestStaleHandling:
             max_events=3,
         )
         assert not result.finished
+
+
+def trace_data(result):
+    """A SimResult's complete observable content, as comparable data."""
+    return (
+        result.total_cycles,
+        result.finished,
+        result.pruned,
+        repr(result.utilization),
+        sorted(result.core_busy.items()),
+        sorted(result.invocations.items()),
+        [
+            (e.event_id, e.task, e.core, e.start, e.end, e.exit_id,
+             e.data_ready, tuple(e.param_objects), tuple(e.inputs),
+             tuple(e.produced))
+            for e in result.trace
+        ],
+    )
+
+
+def neighbour_chain(compiled, start, steps, seed=0):
+    """``steps`` layouts, each one instance move or replica addition away
+    from the one before — the shape of an annealing trajectory."""
+    rng = random.Random(seed)
+    layout = start
+    chain = []
+    while len(chain) < steps:
+        task = rng.choice(layout.tasks())
+        to_core = rng.randrange(layout.num_cores)
+        try:
+            if task_is_replicable(compiled.info, task) and rng.random() < 0.3:
+                neighbour = with_instance_added(layout, task, to_core)
+            else:
+                from_core = rng.choice(layout.cores_of(task))
+                neighbour = with_instance_moved(layout, task, from_core, to_core)
+            neighbour.validate(compiled.info)
+        except ScheduleError:
+            continue
+        chain.append(neighbour)
+        layout = neighbour
+    return chain
+
+
+@pytest.fixture(scope="module")
+def tracking_context():
+    compiled = load_benchmark("Tracking")
+    return compiled, small_profile("Tracking")
+
+
+class TestSimSession:
+    def test_facade_rejects_per_call_knobs_with_session(
+        self, tracking_context
+    ):
+        compiled, profile = tracking_context
+        session = SimSession(compiled, profile)
+        layout = Layout.make(4, {t: [0] for t in compiled.info.tasks})
+        other_profile = ProfileData()
+        with pytest.raises(ScheduleError, match="session"):
+            simulate(compiled, layout, other_profile, session=session)
+        with pytest.raises(ScheduleError, match="session"):
+            simulate(
+                compiled, layout, session=session, hints={"x": "per_object"}
+            )
+        with pytest.raises(ScheduleError, match="profile"):
+            simulate(compiled, layout)
+
+    @pytest.mark.parametrize("name", PAPER_BENCHMARKS)
+    def test_facade_with_session_matches_sessionless(self, name):
+        compiled = load_benchmark(name)
+        profile = small_profile(name)
+        session = SimSession(compiled, profile)
+        layout = Layout.make(4, {t: [0] for t in compiled.info.tasks})
+        with_session = simulate(compiled, layout, session=session)
+        without = simulate(compiled, layout, profile)
+        assert trace_data(with_session) == trace_data(without)
+
+    @pytest.mark.parametrize("name", PAPER_BENCHMARKS)
+    def test_neighbour_chain_matches_sessionless(self, name):
+        """One session simulating a chain of neighbouring layouts (as the
+        annealer does) must agree, trace for trace, with fresh
+        sessionless simulations: the shared tables carry no state
+        from one layout into the next."""
+        compiled = load_benchmark(name)
+        profile = small_profile(name)
+        session = SimSession(compiled, profile)
+        start = Layout.make(4, {t: [0] for t in compiled.info.tasks})
+        for layout in [start] + neighbour_chain(compiled, start, 12):
+            assert trace_data(session.simulate(layout)) == trace_data(
+                simulate(compiled, layout, profile)
+            )
+
+    def test_neighbour_chain_under_cutoff_matches_sessionless(
+        self, tracking_context
+    ):
+        compiled, profile = tracking_context
+        session = SimSession(compiled, profile)
+        start = Layout.make(4, {t: [0] for t in compiled.info.tasks})
+        cutoff = simulate(compiled, start, profile).total_cycles // 2
+        for layout in [start] + neighbour_chain(compiled, start, 12, seed=1):
+            got = session.simulate(layout, cutoff=cutoff)
+            fresh = simulate(compiled, layout, profile, cutoff=cutoff)
+            assert trace_data(got) == trace_data(fresh)
+
+    def test_all_public_symbols_import(self):
+        import repro
+        import repro.schedule
+        import repro.search
+        import repro.serve
+
+        for module in (repro, repro.schedule, repro.search, repro.serve):
+            for name in module.__all__:
+                assert not name.startswith("_"), (module.__name__, name)
+                assert hasattr(module, name), (module.__name__, name)
+        # The session API is part of the top-level surface.
+        for name in ("simulate", "SimSession", "SimResult"):
+            assert name in repro.__all__
+            assert name in repro.schedule.__all__
