@@ -11,6 +11,7 @@ build, so speedups and overheads are meaningful.
 
 from __future__ import annotations
 
+from ..sema import builtins
 from . import instructions as ir
 
 # Base instruction costs (cycles).
@@ -30,7 +31,6 @@ RET_COST = 2
 EXIT_COST = 2
 NEWTAG_COST = 15
 BINDTAG_COST = 8
-TRAP_COST = 1
 
 _INT_OP_COST = {
     "+": 1,
@@ -81,9 +81,16 @@ def binop_cost(op: str, kind: str) -> int:
     return _INT_OP_COST.get(op, 1)
 
 
-def instruction_cost(instr: ir.Instr) -> int:
-    """Static cost of one instruction (array allocation adds a dynamic
-    per-element cost in the interpreter)."""
+def instruction_cost(instr: ir.Instr, bounds_checks: bool = False) -> int:
+    """Cycles the interpreter charges for one instruction before it runs.
+
+    This is the whole static part of the cost model: the interpreter sums it
+    per basic block. A builtin call costs its table entry, and each array
+    access pays :data:`BOUNDS_CHECK_COST` more when ``bounds_checks`` is on.
+    ``NewArr`` is 0 here because its cost depends on the lengths: every
+    allocated level pays ``NEWARR_BASE_COST + NEWARR_PER_ELEM_COST * length``
+    at run time. ``Trap`` is 0 because it raises instead of completing.
+    """
     if isinstance(instr, ir.Move):
         return MOVE_COST
     if isinstance(instr, ir.BinOp):
@@ -95,19 +102,17 @@ def instruction_cost(instr: ir.Instr) -> int:
     if isinstance(instr, ir.Store):
         return STORE_COST
     if isinstance(instr, ir.ALoad):
-        return ALOAD_COST
+        return ALOAD_COST + (BOUNDS_CHECK_COST if bounds_checks else 0)
     if isinstance(instr, ir.AStore):
-        return ASTORE_COST
+        return ASTORE_COST + (BOUNDS_CHECK_COST if bounds_checks else 0)
     if isinstance(instr, ir.ArrLen):
         return ARRLEN_COST
     if isinstance(instr, ir.NewObj):
         return NEWOBJ_COST
-    if isinstance(instr, ir.NewArr):
-        return NEWARR_BASE_COST
     if isinstance(instr, ir.Call):
         return CALL_OVERHEAD
     if isinstance(instr, ir.CallBuiltin):
-        return 0  # builtin table supplies its own cost
+        return builtins.builtin_by_key(instr.key).cost
     if isinstance(instr, ir.NewTag):
         return NEWTAG_COST
     if isinstance(instr, ir.BindTag):
@@ -120,9 +125,7 @@ def instruction_cost(instr: ir.Instr) -> int:
         return RET_COST
     if isinstance(instr, ir.Exit):
         return EXIT_COST
-    if isinstance(instr, ir.Trap):
-        return TRAP_COST
-    return 1
+    return 0  # NewArr and Trap, as above
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,51 @@ from repro.runtime.interp import Interpreter, make_startup_object, _int_div, _in
 from repro.runtime.objects import Heap
 
 
-def run_expr_program(body: str, args=("0",)):
-    """Runs SeqMain.run with the given body; returns (result, stdout)."""
-    source = (
+def expr_source(body: str) -> str:
+    """A program whose SeqMain.run has the given body."""
+    return (
         "class SeqMain { SeqMain() { } void run(String[] args) { %s } }\n"
         "task startup(StartupObject s in initialstate) "
         "{ taskexit(s: initialstate := false); }" % body
     )
-    compiled = compile_program(source)
+
+
+def run_expr_program(body: str, args=("0",)):
+    """Runs SeqMain.run with the given body; returns (result, stdout)."""
+    compiled = compile_program(expr_source(body))
     result = run_sequential(compiled, list(args))
     return result
+
+
+#: Programs whose sequential run raises RuntimeBambooError, by what they do.
+ERRORING_PROGRAMS = {
+    "int_division_by_zero": expr_source("int x = 1 / 0;"),
+    "int_modulo_by_zero": expr_source("int x = 1 % 0;"),
+    "float_division_by_zero": expr_source("float x = 1.0 / 0.0;"),
+    "index_out_of_bounds": expr_source("int[] a = new int[2]; int x = a[2];"),
+    "negative_index": expr_source("int[] a = new int[2]; a[-1] = 0;"),
+    "null_array_access": expr_source("int[] a = null; int x = a[0];"),
+    "null_array_length": expr_source("int[] a = null; int n = a.length;"),
+    "negative_array_length": expr_source("int n = 0 - 1; int[] a = new int[n];"),
+    "null_field_access": (
+        "class A { int x; } "
+        "class SeqMain { SeqMain() { } void run(String[] args) "
+        "{ A a = null; int v = a.x; } } "
+        "task startup(StartupObject s in initialstate) "
+        "{ taskexit(s: initialstate := false); }"
+    ),
+    "runaway_recursion": (
+        "class SeqMain { SeqMain() { } "
+        "int loop(int n) { return this.loop(n + 1); } "
+        "void run(String[] args) { System.printInt(this.loop(0)); } } "
+        "task startup(StartupObject s in initialstate) "
+        "{ taskexit(s: initialstate := false); }"
+    ),
+}
+
+
+def run_erroring(name: str):
+    return run_sequential(compile_program(ERRORING_PROGRAMS[name]), ["0"])
 
 
 def run_and_print(body: str, args=("0",)) -> str:
@@ -38,11 +73,11 @@ class TestIntegerSemantics:
 
     def test_division_by_zero_raises(self):
         with pytest.raises(RuntimeBambooError):
-            run_expr_program("int x = 1 / 0;")
+            run_erroring("int_division_by_zero")
 
     def test_modulo_by_zero_raises(self):
         with pytest.raises(RuntimeBambooError):
-            run_expr_program("int x = 1 % 0;")
+            run_erroring("int_modulo_by_zero")
 
     def test_int_div_helper_matches_java(self):
         assert _int_div(7, 2) == 3
@@ -62,7 +97,7 @@ class TestFloatSemantics:
 
     def test_float_division_by_zero_raises(self):
         with pytest.raises(RuntimeBambooError):
-            run_expr_program("float x = 1.0 / 0.0;")
+            run_erroring("float_division_by_zero")
 
     def test_cast_truncates(self):
         assert run_and_print("System.printInt((int) 2.9);") == "2"
@@ -121,27 +156,19 @@ class TestArraysAndObjects:
 
     def test_out_of_bounds_raises(self):
         with pytest.raises(RuntimeBambooError):
-            run_expr_program("int[] a = new int[2]; int x = a[2];")
+            run_erroring("index_out_of_bounds")
 
     def test_negative_index_raises(self):
         with pytest.raises(RuntimeBambooError):
-            run_expr_program("int[] a = new int[2]; a[-1] = 0;")
+            run_erroring("negative_index")
 
     def test_null_array_access_raises(self):
         with pytest.raises(RuntimeBambooError):
-            run_expr_program("int[] a = null; int x = a[0];")
+            run_erroring("null_array_access")
 
     def test_null_field_access_raises(self):
-        source = (
-            "class A { int x; } "
-            "class SeqMain { SeqMain() { } void run(String[] args) "
-            "{ A a = null; int v = a.x; } } "
-            "task startup(StartupObject s in initialstate) "
-            "{ taskexit(s: initialstate := false); }"
-        )
-        compiled = compile_program(source)
         with pytest.raises(RuntimeBambooError):
-            run_sequential(compiled, ["0"])
+            run_erroring("null_field_access")
 
     def test_object_field_defaults(self):
         source = (
@@ -170,16 +197,8 @@ class TestMethodsAndRecursion:
         assert run_sequential(compiled, ["0"]).stdout == "55"
 
     def test_runaway_recursion_raises(self):
-        source = (
-            "class SeqMain { SeqMain() { } "
-            "int loop(int n) { return this.loop(n + 1); } "
-            "void run(String[] args) { System.printInt(this.loop(0)); } } "
-            "task startup(StartupObject s in initialstate) "
-            "{ taskexit(s: initialstate := false); }"
-        )
-        compiled = compile_program(source)
         with pytest.raises(RuntimeBambooError):
-            run_sequential(compiled, ["0"])
+            run_erroring("runaway_recursion")
 
     def test_mutual_calls(self):
         out = run_and_print("System.printInt(1);")

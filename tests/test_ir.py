@@ -7,7 +7,7 @@ from repro.ir.builder import lower_program
 from repro.ir.verify import verify_function, verify_program
 from repro.lang.errors import LoweringError
 from repro.lang.parser import parse_program
-from repro.sema import analyze
+from repro.sema import analyze, builtins
 
 
 def lower(source: str) -> ir.IRProgram:
@@ -240,14 +240,30 @@ class TestCosts:
             ir.Branch(ir.Const(True), 0, 0),
             ir.Ret(None),
             ir.Exit(0),
-            ir.Trap("x"),
         ]
         for instr in samples:
             assert costs.instruction_cost(instr) >= 1
 
     def test_builtin_cost_charged_by_table(self):
-        # CallBuiltin itself is free; the builtin's table cost applies.
-        assert costs.instruction_cost(ir.CallBuiltin(None, "Math.sqrt", [])) == 0
+        # A builtin call costs exactly its table entry.
+        sqrt = builtins.builtin_by_key("Math.sqrt")
+        assert costs.instruction_cost(ir.CallBuiltin(None, "Math.sqrt", [])) == sqrt.cost
+
+    def test_array_allocation_and_trap_charge_nothing_statically(self):
+        # NewArr pays per allocated level at run time; Trap raises.
+        assert costs.instruction_cost(ir.NewArr(ir.Reg(0), "int", [ir.Const(3)])) == 0
+        assert costs.instruction_cost(ir.Trap("x")) == 0
+
+    def test_bounds_checks_add_to_array_accesses_only(self):
+        access = ir.ALoad(ir.Reg(0), ir.Reg(0), ir.Const(0))
+        store = ir.AStore(ir.Reg(0), ir.Const(0), ir.Const(1))
+        for instr in (access, store):
+            assert (
+                costs.instruction_cost(instr, bounds_checks=True)
+                == costs.instruction_cost(instr) + costs.BOUNDS_CHECK_COST
+            )
+        load = ir.Load(ir.Reg(0), ir.Reg(0), "f", 0)
+        assert costs.instruction_cost(load, bounds_checks=True) == costs.LOAD_COST
 
     def test_float_ops_cost_more_than_int(self):
         assert costs.binop_cost("+", "float") > costs.binop_cost("+", "int")

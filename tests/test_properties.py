@@ -259,8 +259,10 @@ def _literal_int_exprs():
 @given(_literal_int_exprs())
 @settings(max_examples=120, deadline=None)
 def test_optimizer_preserves_expression_semantics(expr):
+    from interp_reference import ReferenceInterpreter, interpreter_class
     from repro.core import compile_program, run_sequential
     from repro.lang.errors import RuntimeBambooError
+    from repro.runtime.interp import Interpreter
 
     text = format_expr(expr)
     source = (
@@ -282,3 +284,15 @@ def test_optimizer_preserves_expression_semantics(expr):
     plain_outcome = outcome(plain)
     fast_outcome = outcome(fast)
     assert plain_outcome == fast_outcome
+
+    def exact_outcome(interpreter, compiled):
+        with interpreter_class(interpreter):
+            try:
+                result = run_sequential(compiled, ["0"])
+                return ("ok", result.stdout, result.cycles)
+            except RuntimeBambooError as exc:
+                return ("fault", str(exc))
+
+    assert [exact_outcome(Interpreter, c) for c in (plain, fast)] == [
+        exact_outcome(ReferenceInterpreter, c) for c in (plain, fast)
+    ]
