@@ -52,8 +52,8 @@ def test_net_chaos_sweep_cost(benchmark, tmp_path_factory):
     # client retry, while the control plan touched nothing.
     assert report.ok, report.describe()
     assert report.shutdown_exit == 0
-    assert report.total_fired() >= 1
-    assert report.total_retries() >= report.total_fired()
+    assert report.total("fired") >= 1
+    assert report.total("retries") >= report.total("fired")
     control = report.runs[0]
     assert control.plan.is_empty()
     assert control.retries == 0 and not control.fired
@@ -80,8 +80,8 @@ def test_net_chaos_sweep_cost(benchmark, tmp_path_factory):
         f"Net chaos: serve-layer failure story ({BENCH}, {NUM_CORES} cores)",
         table
         + f"\n\nsweep wall time:  {wall:.2f}s for {PLANS} plan(s)"
-        + f"\nproxy faults:     {report.total_fired()} fired, "
-        f"{report.total_retries()} client retries"
+        + f"\nproxy faults:     {report.total('fired')} fired, "
+        f"{report.total('retries')} client retries"
         + f"\ndaemon kills:     {kills} (restart + cache durability checked)"
         + f"\nflush failures:   {flush_fails} (degradation reporting checked)"
         + f"\nshutdown exit:    {report.shutdown_exit}"

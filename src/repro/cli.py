@@ -213,8 +213,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             base_seed=args.seed,
             workers=max(2, args.workers),
         )
-        print(host_report.describe())
-        return 0 if host_report.ok else 1
+        return _finish_chaos(host_report)
     if args.cores <= 1:
         layout = single_core_layout(compiled)
     else:
@@ -275,8 +274,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             base_seed=args.seed,
             resilience=resilience,
         )
-        print(chaos.describe())
-        return 0 if chaos.ok else 1
+        return _finish_chaos(chaos)
     result = run_layout(compiled, layout, args.args, options=run_options)
     if result.stdout:
         print(result.stdout)
@@ -343,19 +341,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return run_server(config, announce=announce)
 
 
+def _finish_chaos(report, report_path: Optional[str] = None) -> int:
+    """Prints a chaos report, optionally writes its JSON to
+    ``report_path``, and returns the exit code (1 on any violation)."""
+    print(report.describe())
+    if report_path:
+        import json
+
+        with open(report_path, "w") as handle:
+            json.dump(report.as_dict(), handle, indent=2)
+            handle.write("\n")
+        print(f"[report: {report_path}]", file=sys.stderr)
+    return 0 if report.ok else 1
+
+
 def _cmd_serve_chaos(args: argparse.Namespace) -> int:
     from .serve.netchaos import run_net_chaos
 
-    report = run_net_chaos(plans=args.plans, base_seed=args.seed)
-    print(report.describe())
-    if args.report:
-        import json
-
-        with open(args.report, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-            handle.write("\n")
-        print(f"[report: {args.report}]", file=sys.stderr)
-    return 0 if report.ok else 1
+    return _finish_chaos(
+        run_net_chaos(plans=args.plans, base_seed=args.seed), args.report
+    )
 
 
 def _resolve_program(target: str, args: List[str]):
@@ -437,7 +442,7 @@ def _cmd_dist_coordinator(args: argparse.Namespace) -> int:
     else:
         chaos = None
         if args.chaos_crash or args.chaos_hang or args.chaos_expire:
-            from .search.hostchaos import DistChaosPlan
+            from .search.dist.chaos import DistChaosPlan
 
             chaos = DistChaosPlan.scripted(
                 crash=args.chaos_crash,
@@ -511,16 +516,9 @@ def _cmd_dist_coordinator(args: argparse.Namespace) -> int:
 def _cmd_dist_chaos(args: argparse.Namespace) -> int:
     from .search.dist.chaos import run_dist_chaos
 
-    report = run_dist_chaos(plans=args.plans, base_seed=args.seed)
-    print(report.describe())
-    if args.report:
-        import json
-
-        with open(args.report, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-            handle.write("\n")
-        print(f"[report: {args.report}]", file=sys.stderr)
-    return 0 if report.ok else 1
+    return _finish_chaos(
+        run_dist_chaos(plans=args.plans, base_seed=args.seed), args.report
+    )
 
 
 _HEAVY_REQUEST_OPS = ("compile", "profile", "synthesize", "simulate")
@@ -1099,21 +1097,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_request.set_defaults(func=_cmd_request)
 
-    p_netchaos = sub.add_parser(
-        "serve-chaos",
-        help="sweep seeded network/daemon fault plans against a live "
-             "serve subprocess; exit nonzero on any invariant violation",
+    _add_chaos_parser(
+        sub, "serve-chaos", 8, _cmd_serve_chaos,
+        "sweep seeded network/daemon fault plans against a live "
+        "serve subprocess; exit nonzero on any invariant violation",
     )
-    p_netchaos.add_argument(
-        "plans", type=int, nargs="?", default=8,
-        help="number of seeded plans (plan 0 is the fault-free control)",
-    )
-    p_netchaos.add_argument("--seed", type=int, default=0)
-    p_netchaos.add_argument(
-        "--report", metavar="FILE", default=None,
-        help="write the machine-readable sweep report as JSON",
-    )
-    p_netchaos.set_defaults(func=_cmd_serve_chaos)
 
     p_dco = sub.add_parser(
         "dist-coordinator",
@@ -1203,25 +1191,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_dwk.add_argument("--verbose", action="store_true")
     p_dwk.set_defaults(func=_cmd_dist_worker)
 
-    p_dch = sub.add_parser(
-        "dist-chaos",
-        help="sweep seeded distributed-search fault plans (worker "
-             "crashes/hangs, dropped/garbled connections, forced lease "
-             "expiries, coordinator kill+resume) and exit nonzero on any "
-             "invariant violation",
+    _add_chaos_parser(
+        sub, "dist-chaos", 4, _cmd_dist_chaos,
+        "sweep seeded distributed-search fault plans (worker "
+        "crashes/hangs, reset/garbled connections, forced lease "
+        "expiries, coordinator kill+resume) and exit nonzero on any "
+        "invariant violation",
     )
-    p_dch.add_argument(
-        "plans", type=int, nargs="?", default=4,
+
+    return parser
+
+
+def _add_chaos_parser(sub, name: str, plans: int, func, text: str) -> None:
+    """A ``NAME [PLANS] [--seed S] [--report FILE]`` sweep command."""
+    parser = sub.add_parser(name, help=text)
+    parser.add_argument(
+        "plans", type=int, nargs="?", default=plans,
         help="number of seeded plans (plan 0 is the fault-free control)",
     )
-    p_dch.add_argument("--seed", type=int, default=0)
-    p_dch.add_argument(
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
         "--report", metavar="FILE", default=None,
         help="write the machine-readable sweep report as JSON",
     )
-    p_dch.set_defaults(func=_cmd_dist_chaos)
-
-    return parser
+    parser.set_defaults(func=func)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

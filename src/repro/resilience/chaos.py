@@ -27,9 +27,10 @@ rejects.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
+from .. import chaos as kernel
 from ..fault.plan import CoreCrash, FaultPlan, LinkDegrade, TransientStall
 from ..runtime.machine import MachineConfig, MachineResult
 from ..schedule.layout import Layout
@@ -82,67 +83,43 @@ def chaos_plan(
 
 
 @dataclass
-class ChaosRun:
+class ChaosRun(kernel.ChaosRun):
     """Outcome of one seeded plan."""
 
-    index: int
-    seed: int
-    plan: FaultPlan
-    result: Optional[MachineResult] = None
-    error: Optional[str] = None
-    violations: List[str] = field(default_factory=list)
+    CONTROL_ZERO: ClassVar[Tuple[str, ...]] = ("core_deaths", "quarantined")
 
-    @property
-    def ok(self) -> bool:
-        return self.error is None and not self.violations
+    result: Optional[MachineResult] = field(
+        default=None, metadata=kernel.NOT_JSON
+    )
+
+    def counters(self) -> Dict[str, int]:
+        if self.result is None:
+            return {}
+        return {
+            "core_deaths": len(self.result.core_death_cycles or {}),
+            "quarantined": len(self.result.quarantined or []),
+        }
 
 
 @dataclass
-class ChaosReport:
+class ChaosReport(kernel.ChaosReport):
     """Outcome of a full sweep."""
 
-    runs: List[ChaosRun]
-    baseline: MachineResult
+    SCHEMA: ClassVar[str] = "repro.resilience/chaos-report-v1"
+    INVARIANTS: ClassVar[str] = (
+        "termination, exactly-once commit, quarantine accounting, "
+        "baseline equivalence"
+    )
 
-    @property
-    def ok(self) -> bool:
-        return all(run.ok for run in self.runs)
+    baseline: Optional[MachineResult] = None
 
-    def violations(self) -> List[str]:
-        lines: List[str] = []
-        for run in self.runs:
-            if run.error is not None:
-                lines.append(f"plan {run.index} (seed {run.seed}): {run.error}")
-            for violation in run.violations:
-                lines.append(f"plan {run.index} (seed {run.seed}): {violation}")
-        return lines
-
-    def describe(self) -> str:
+    def headline(self) -> List[str]:
         faults = sum(len(run.plan.events) for run in self.runs)
-        crashed = sum(
-            len(run.result.core_death_cycles or {})
-            for run in self.runs
-            if run.result is not None
-        )
-        quarantined = sum(
-            len(run.result.quarantined or [])
-            for run in self.runs
-            if run.result is not None
-        )
-        lines = [
+        return [
             f"chaos: {len(self.runs)} plan(s), {faults} fault event(s), "
-            f"{crashed} core death(s), {quarantined} quarantined group(s)"
+            f"{self.total('core_deaths')} core death(s), "
+            f"{self.total('quarantined')} quarantined group(s)"
         ]
-        bad = self.violations()
-        if bad:
-            lines.append(f"INVARIANT VIOLATIONS ({len(bad)}):")
-            lines.extend(f"  {line}" for line in bad)
-        else:
-            lines.append(
-                "all invariants held: termination, exactly-once commit, "
-                "quarantine accounting, baseline equivalence"
-            )
-        return "\n".join(lines)
 
 
 def _check_run(
@@ -194,72 +171,57 @@ def run_chaos(
     horizon = max(2, baseline.total_cycles)
     cores = sorted(layout.cores_used())
 
-    report_runs: List[ChaosRun] = []
-    for index in range(runs):
-        seed = base_seed + index
-        plan = chaos_plan(
-            index, seed, cores, horizon, resilience.suspicion_window
+    def run_with(config: MachineConfig) -> MachineResult:
+        return run_layout(
+            compiled, layout, args, options=RunOptions(machine=config)
         )
-        run = ChaosRun(index=index, seed=seed, plan=plan)
-        config = MachineConfig(
-            fault_plan=None if plan.is_empty() else plan,
-            resilience=resilience,
-            validate=True,
-        )
-        try:
-            result = run_layout(
-                compiled, layout, args, options=RunOptions(machine=config)
+
+    def execute(run: ChaosRun) -> None:
+        plan = run.plan
+        run.result = run_with(
+            MachineConfig(
+                fault_plan=None if plan.is_empty() else plan,
+                resilience=resilience,
+                validate=True,
             )
-        except Exception as exc:  # noqa: BLE001 - verdict, not control flow
-            run.error = f"{type(exc).__name__}: {exc}"
-            report_runs.append(run)
-            continue
-        run.result = result
-        _check_run(run, result, baseline)
-        if index == 0:
-            _check_control(run, compiled, layout, args, baseline, resilience)
-        report_runs.append(run)
+        )
+        _check_run(run, run.result, baseline)
+        if run.index == 0:
+            disabled = replace(resilience, enabled=False)
+            control = run_with(MachineConfig(resilience=disabled))
+            _check_control(run, baseline, control)
+
+    report_runs = kernel.sweep(
+        runs,
+        base_seed,
+        lambda index, seed, _: chaos_plan(
+            index, seed, cores, horizon, resilience.suspicion_window
+        ),
+        execute,
+        run_type=ChaosRun,
+    )
     return ChaosReport(runs=report_runs, baseline=baseline)
 
 
 def _check_control(
-    run: ChaosRun,
-    compiled,
-    layout: Layout,
-    args: Sequence[str],
-    baseline: MachineResult,
-    resilience: ResilienceConfig,
+    run: ChaosRun, baseline: MachineResult, control: MachineResult
 ) -> None:
     """Plan-0 extras: the empty plan must be a true control.
 
-    With resilience disabled the run must be *bit-identical* to the
-    baseline; with it enabled (``run.result``) nothing observable may
-    change — heartbeats cost cycles but decide nothing on a healthy
-    machine.
+    With resilience disabled (``control``) the run must be
+    *bit-identical* to the baseline; with it enabled (``run.result``)
+    nothing observable may change — heartbeats cost cycles but decide
+    nothing on a healthy machine. (The sweep's zero-activity check
+    covers deaths and quarantine.)
     """
-    from ..core.api import run_layout
-    from ..core.options import RunOptions
-    from dataclasses import replace
-
-    disabled = replace(resilience, enabled=False)
-    config = MachineConfig(fault_plan=None, resilience=disabled)
-    control = run_layout(
-        compiled, layout, args, options=RunOptions(machine=config)
-    )
     if control != baseline:
         run.violations.append(
             "resilience disabled is not bit-identical to the baseline"
         )
     result = run.result
-    if result is None:
-        return
     if result.stdout != baseline.stdout:
         run.violations.append("fault-free resilient run changed the output")
     if result.invocations != baseline.invocations:
         run.violations.append(
             "fault-free resilient run changed invocation counts"
-        )
-    if result.core_death_cycles or (result.quarantined or []):
-        run.violations.append(
-            "fault-free resilient run recorded deaths or quarantine"
         )

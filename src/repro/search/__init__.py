@@ -73,12 +73,9 @@ from .storage import (
     write_record,
 )
 from .hostchaos import (
-    DistChaosPlan,
-    DistFault,
     HostChaosPlan,
     HostChaosReport,
     HostChaosRun,
-    HostFault,
     run_host_chaos,
 )
 from .supervise import RetryPolicy, SupervisedEvaluator, SupervisionStats
@@ -88,14 +85,11 @@ __all__ = [
     "CHECKPOINT_FORMAT",
     "CacheEntry",
     "CheckpointError",
-    "DistChaosPlan",
-    "DistFault",
     "EvaluationError",
     "Evaluator",
     "HostChaosPlan",
     "HostChaosReport",
     "HostChaosRun",
-    "HostFault",
     "INFEASIBLE_CYCLES",
     "ParallelEvaluator",
     "RetryPolicy",

@@ -28,226 +28,190 @@ checkpoint from a *different* job is refused with a typed error.
 
 Fault transport: dispatch faults (``crash_worker``/``hang_worker``/
 ``expire_lease``) ride shard messages through the coordinator's own
-chaos hook; wire faults (``drop_conn``/``garble``) fire in
-:class:`DistChaosProxy`, a full-duplex cousin of
-:class:`repro.serve.netchaos.ChaosProxy` (that one is request/response
-lockstep; the dist protocol pushes coordinator→worker messages
-unprompted, so the proxy pumps each direction independently);
-``kill_worker`` is a literal ``SIGKILL`` of a worker subprocess mid-run.
+chaos hook; wire faults (``reset``/``garbage``) fire in the shared
+:class:`repro.chaos.ChaosProxy` between workers and the coordinator (the
+dist protocol pushes coordinator→worker messages unprompted, which the
+proxy's full-duplex pumps allow); ``kill_worker`` is a literal
+``SIGKILL`` of a worker subprocess mid-run.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+import random
 import signal
-import socket
-import struct
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Dict, List, Optional, Tuple
 
-from ..hostchaos import DistChaosPlan
-from .coordinator import DistCoordinator, DistError, LeasePolicy
+from ... import chaos as kernel
+from .coordinator import DistCoordinator, DistError, DistStats, LeasePolicy
 from .shards import JobContext, ShardSpec, run_serial_baseline
 from .worker import spawn_worker_process
 
 #: seconds before a chaos run is declared hung (a termination violation)
 RUN_DEADLINE = 180.0
 
-_GARBAGE = b"\x16\x03\x01 not a dist message \xff\xfe\n"
+#: coordinator counters a fault-free run advances too
+_PROGRESS_COUNTERS = (
+    "workers_joined",
+    "workers_left",
+    "dispatches",
+    "local_executions",
+    "shards_completed",
+    "frontier_checkpoints",
+)
+
+#: faults the coordinator injects itself, keyed by dispatch seq
+DIST_DISPATCH_KINDS = ("crash_worker", "hang_worker", "expire_lease")
+#: faults the chaos proxy injects in transit, keyed by downstream line
+DIST_WIRE_KINDS = ("reset", "garbage")
 
 
-class DistChaosProxy:
-    """A full-duplex TCP proxy injecting wire faults between workers and
-    a coordinator.
+@dataclass(frozen=True)
+class DistChaosPlan:
+    """A seeded set of faults for one distributed search — the host-chaos
+    idea one level up: instead of misbehaving worker *processes* inside
+    one search, whole worker *hosts* and their connections misbehave.
 
-    Worker→coordinator bytes pass through untouched; coordinator→worker
-    *messages* (newline-framed) advance one global sequence shared
-    across connections, and when the armed plan designates the current
-    message the proxy misbehaves: ``drop_conn`` hard-drops both sides
-    with an RST, ``garble`` substitutes undecodable bytes. Either way
-    the worker reconnects (through the proxy again) and the coordinator
-    re-dispatches — the invariants say neither can change the result.
+    Dispatch faults ride on shard messages (the worker crashes hard or
+    hangs past its lease; the coordinator force-expires a lease) and are
+    keyed by the coordinator's global dispatch sequence; wire faults fire
+    in the proxy between the two (connection reset with an RST, a message
+    replaced by garbage) and are keyed by the proxy's downstream line
+    number; ``kill_worker`` tells the harness to SIGKILL one worker
+    process externally mid-run. Plan 0 of every sweep is empty — the
+    control.
     """
 
-    def __init__(self, upstream_port: int, host: str = "127.0.0.1"):
-        self.host = host
-        self._upstream_port = upstream_port
-        self._plan: Optional[DistChaosPlan] = None
-        self._lock = threading.Lock()
-        self._sequence = 0
-        #: (message, kind) pairs that actually fired since the last arm()
-        self.fired: List[Tuple[int, str]] = []
-        self._closing = False
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, 0))
-        self._listener.listen(16)
-        self.port = self._listener.getsockname()[1]
-        threading.Thread(
-            target=self._accept_loop, name="dist-chaos-accept", daemon=True
-        ).start()
+    dispatch_faults: Tuple[kernel.Fault, ...] = ()
+    wire_faults: Tuple[kernel.Fault, ...] = ()
+    kill_worker: bool = False
+    seed: int = 0
 
-    def arm(self, plan: Optional[DistChaosPlan]) -> None:
-        with self._lock:
-            self._plan = plan
-            self._sequence = 0
-            self.fired = []
-
-    def set_upstream(self, port: int) -> None:
-        """Re-points the proxy at a fresh coordinator (one per plan)."""
-        with self._lock:
-            self._upstream_port = port
-
-    def close(self) -> None:
-        self._closing = True
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover
-            pass
-
-    # -- internals -----------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while not self._closing:
-            try:
-                client, _ = self._listener.accept()
-            except OSError:
-                return
-            threading.Thread(
-                target=self._handle,
-                args=(client,),
-                name="dist-chaos-conn",
-                daemon=True,
-            ).start()
-
-    def _next_fault(self) -> Optional[str]:
-        with self._lock:
-            self._sequence += 1
-            sequence = self._sequence
-            plan = self._plan
-            if plan is None:
-                return None
-            kind = plan.wire_fault(sequence)
-            if kind is not None:
-                self.fired.append((sequence, kind))
-            return kind
-
-    def _handle(self, client: socket.socket) -> None:
-        with self._lock:
-            upstream_port = self._upstream_port
-        try:
-            upstream = socket.create_connection(
-                (self.host, upstream_port), timeout=5.0
+    @classmethod
+    def make(
+        cls,
+        index: int,
+        seed: int,
+        horizon: int,
+        hang_seconds: float = 3.0,
+        max_faults: int = 2,
+    ) -> "DistChaosPlan":
+        """Builds the ``index``-th plan of a sweep. ``horizon`` should be
+        the shard count: with one dispatch per shard guaranteed, every
+        designated dispatch id in ``1..horizon`` is reached, and with a
+        job and a shard message per dispatch, so is every downstream line
+        in ``0..horizon-1``. Fault families rotate on fixed strides (like
+        :class:`repro.serve.netchaos.NetChaosPlan`) so even a 4-plan
+        sweep exercises dispatch faults, wire faults, and an external
+        worker SIGKILL."""
+        if index == 0:
+            return cls(seed=seed)
+        rng = random.Random(seed)
+        horizon = max(1, horizon)
+        count = rng.randint(1, max(1, min(max_faults, horizon)))
+        picks = rng.sample(range(1, horizon + 1), min(horizon, count))
+        dispatch = tuple(
+            kernel.Fault(
+                key=pick,
+                kind=rng.choice(DIST_DISPATCH_KINDS),
+                param=hang_seconds,
             )
-        except OSError:
-            client.close()
-            return
+            for pick in sorted(picks)
+        )
+        wire: Tuple[kernel.Fault, ...] = ()
+        if index % 2 == 0:
+            wire = tuple(
+                kernel.Fault(key=pick, kind=rng.choice(DIST_WIRE_KINDS))
+                for pick in sorted(
+                    rng.sample(range(horizon), min(horizon, 2))
+                )
+            )
+        return cls(
+            dispatch_faults=dispatch,
+            wire_faults=wire,
+            kill_worker=index % 3 == 2,
+            seed=seed,
+        )
 
-        def closer() -> None:
-            for sock in (client, upstream):
-                try:
-                    sock.close()
-                except OSError:  # pragma: no cover
-                    pass
+    @classmethod
+    def scripted(
+        cls,
+        crash=(),
+        hang=(),
+        expire=(),
+        hang_seconds: float = 3.0,
+    ) -> "DistChaosPlan":
+        """A hand-written plan from explicit dispatch ids — what the
+        CLI's ``--chaos-crash/--chaos-hang/--chaos-expire`` flags and the
+        CI dist-smoke job build."""
+        faults = tuple(
+            [kernel.Fault(key=s, kind="crash_worker") for s in crash]
+            + [
+                kernel.Fault(key=s, kind="hang_worker", param=hang_seconds)
+                for s in hang
+            ]
+            + [kernel.Fault(key=s, kind="expire_lease") for s in expire]
+        )
+        return cls(dispatch_faults=faults)
 
-        def pump_up() -> None:
-            # worker → coordinator: raw passthrough
-            try:
-                while True:
-                    chunk = client.recv(65536)
-                    if not chunk:
-                        break
-                    upstream.sendall(chunk)
-            except OSError:
-                pass
-            closer()
+    def dispatch_fault(self, seq: int) -> Optional[Tuple[str, Optional[float]]]:
+        """The coordinator's hook: the fault riding on dispatch ``seq``."""
+        fault = kernel.fault_at(self.dispatch_faults, seq)
+        return None if fault is None else (fault.kind, fault.param)
 
-        def pump_down() -> None:
-            # coordinator → worker: one fault decision per message line
-            reader = upstream.makefile("rb")
-            try:
-                while True:
-                    line = reader.readline()
-                    if not line:
-                        break
-                    kind = self._next_fault()
-                    if kind is None:
-                        client.sendall(line)
-                        continue
-                    if kind == "drop_conn":
-                        # RST instead of FIN: the hard drop.
-                        client.setsockopt(
-                            socket.SOL_SOCKET,
-                            socket.SO_LINGER,
-                            struct.pack("ii", 1, 0),
-                        )
-                        break
-                    # "garble": undecodable bytes where a message was due
-                    client.sendall(_GARBAGE)
-                    break
-            except OSError:
-                pass
-            closer()
+    def is_empty(self) -> bool:
+        return not (
+            self.dispatch_faults or self.wire_faults or self.kill_worker
+        )
 
-        threading.Thread(target=pump_up, daemon=True).start()
-        pump_down()
+    def describe(self) -> str:
+        return kernel.describe_plan(
+            "dist chaos",
+            self.dispatch_faults + self.wire_faults,
+            *(["kill_worker"] if self.kill_worker else []),
+        )
 
 
 # -- sweep bookkeeping ---------------------------------------------------------
 
 
 @dataclass
-class DistChaosRun:
+class DistChaosRun(kernel.ChaosRun):
     """Outcome of one plan."""
 
-    index: int
-    seed: int
-    plan: DistChaosPlan
+    #: every coordinator counter but the job's own progress
+    CONTROL_ZERO: ClassVar[Tuple[str, ...]] = tuple(
+        item.name
+        for item in fields(DistStats)
+        if item.name not in _PROGRESS_COUNTERS
+    )
+
     stats: Optional[Dict[str, object]] = None
     wire_fired: List[Tuple[int, str]] = field(default_factory=list)
-    error: Optional[str] = None
-    violations: List[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return self.error is None and not self.violations
+    def counters(self) -> Dict[str, object]:
+        return self.stats or {}
 
 
 @dataclass
-class DistChaosReport:
+class DistChaosReport(kernel.ChaosReport):
     """Outcome of a full dist-chaos sweep (plans + resume phase)."""
 
-    runs: List[DistChaosRun]
-    resume_violations: List[str] = field(default_factory=list)
+    SCHEMA: ClassVar[str] = "repro.search/dist-chaos-report-v2"
+    SWEEP_LABEL: ClassVar[str] = "resume phase"
+    INVARIANTS: ClassVar[str] = (
+        "termination, dist-vs-serial bit-identity, exactly-once shard "
+        "accounting, control-plan zero activity, checkpointed resume"
+    )
+
     resumed_shards: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return not self.resume_violations and all(run.ok for run in self.runs)
-
-    def violations(self) -> List[str]:
-        lines: List[str] = []
-        for run in self.runs:
-            if run.error is not None:
-                lines.append(f"plan {run.index} (seed {run.seed}): {run.error}")
-            for violation in run.violations:
-                lines.append(
-                    f"plan {run.index} (seed {run.seed}): {violation}"
-                )
-        lines.extend(f"resume phase: {line}" for line in self.resume_violations)
-        return lines
-
-    def total(self, counter: str) -> int:
-        return sum(
-            int(run.stats.get(counter, 0))
-            for run in self.runs
-            if run.stats is not None
-        )
-
-    def describe(self) -> str:
+    def headline(self) -> List[str]:
         lines = [f"dist chaos: {len(self.runs)} plan(s)"]
         for run in self.runs:
             status = "ok" if run.ok else "FAIL"
@@ -266,92 +230,33 @@ class DistChaosReport:
             f"resume phase: {self.resumed_shards} shard(s) resumed from the "
             "frontier checkpoint"
         )
-        bad = self.violations()
-        if bad:
-            lines.append(f"INVARIANT VIOLATIONS ({len(bad)}):")
-            lines.extend(f"  {line}" for line in bad)
-        else:
-            lines.append(
-                "all invariants held: termination, dist-vs-serial "
-                "bit-identity, exactly-once shard accounting, control-plan "
-                "zero activity, checkpointed resume"
-            )
-        return "\n".join(lines)
+        return lines
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "schema": "repro.search/dist-chaos-report-v1",
-            "ok": self.ok,
-            "plans": [
-                {
-                    "index": run.index,
-                    "seed": run.seed,
-                    "plan": run.plan.describe(),
-                    "ok": run.ok,
-                    "stats": run.stats,
-                    "wire_fired": [list(pair) for pair in run.wire_fired],
-                    "error": run.error,
-                    "violations": run.violations,
-                }
-                for run in self.runs
-            ],
-            "resumed_shards": self.resumed_shards,
-            "violations": self.violations(),
-        }
-
-
-#: the control plan must show exactly zero of each of these
-_CONTROL_ZERO = (
-    "steals",
-    "retries",
-    "dispatch_failures",
-    "duplicates_discarded",
-    "abandoned",
-    "lease_expiries",
-    "worker_crashes",
-    "worker_disconnects",
-    "worker_hangs",
-    "garbled_messages",
-    "local_only_shards",
-    "injected_crashes",
-    "injected_hangs",
-    "forced_lease_expiries",
-    "resumed_shards",
-)
+    def summary(self) -> Dict[str, object]:
+        return {"resumed_shards": self.resumed_shards}
 
 
 def _check_run(run: DistChaosRun, result, baseline, check_accounting) -> None:
+    """Applies the per-plan invariants; violations land on ``run``.
+    The control plan's zero-activity check is the sweep's."""
     if result.key() != baseline.key():
         run.violations.append(
             "chaos result diverged from the serial baseline "
             f"({result.best_cycles} vs {baseline.best_cycles} cycles)"
         )
     run.violations.extend(check_accounting())
-    stats = run.stats or {}
     if run.plan.is_empty():
-        activity = {
-            name: int(stats.get(name, 0))
-            for name in _CONTROL_ZERO
-            if int(stats.get(name, 0))
-        }
-        if activity:
-            run.violations.append(
-                f"control plan recorded fault activity: {activity}"
-            )
-        if stats.get("degraded"):
-            run.violations.append("control plan degraded to local execution")
-    else:
-        fired = (
-            int(stats.get("injected_crashes", 0))
-            + int(stats.get("injected_hangs", 0))
-            + int(stats.get("forced_lease_expiries", 0))
-            + len(run.wire_fired)
-            + (1 if run.plan.kill_worker else 0)
-        )
-        if fired == 0:
-            run.violations.append(
-                "no planned fault fired (horizon too large for workload?)"
-            )
+        return
+    stats = run.stats or {}
+    kernel.check_all_fired(run, run.plan.wire_faults, run.wire_fired)
+    kernel.check_fired(
+        run,
+        int(stats.get("injected_crashes", 0))
+        + int(stats.get("injected_hangs", 0))
+        + int(stats.get("forced_lease_expiries", 0))
+        + len(run.wire_fired)
+        + (1 if run.plan.kill_worker else 0),
+    )
 
 
 def _run_plan(
@@ -361,7 +266,7 @@ def _run_plan(
     baseline,
     lease: LeasePolicy,
     workers: int,
-    proxy: DistChaosProxy,
+    proxy: kernel.ChaosProxy,
 ) -> None:
     coordinator = DistCoordinator(
         context,
@@ -371,7 +276,7 @@ def _run_plan(
         degrade_after=30.0,
         chaos_plan=None if run.plan.is_empty() else run.plan,
     )
-    proxy.arm(run.plan)
+    proxy.arm(run.plan.wire_faults)
     _, port = coordinator.start()
     proxy.set_upstream(port)
     procs = []
@@ -380,8 +285,8 @@ def _run_plan(
     def drive() -> None:
         try:
             outcome["result"] = coordinator.run()
-        except Exception as exc:  # noqa: BLE001 - verdict, not control flow
-            outcome["error"] = f"{type(exc).__name__}: {exc}"
+        except Exception as exc:  # noqa: BLE001 - re-raised below
+            outcome["error"] = exc
 
     def killer() -> None:
         # SIGKILL one whole worker once the job is demonstrably underway.
@@ -394,10 +299,10 @@ def _run_plan(
             os.kill(procs[0].pid, signal.SIGKILL)
 
     try:
-        for index in range(workers):
+        for number in range(workers):
             # Workers dial the proxy, not the coordinator.
             procs.append(
-                spawn_worker_process(proxy.host, proxy.port, f"w{index}")
+                spawn_worker_process(proxy.host, proxy.port, f"w{number}")
             )
         driver = threading.Thread(target=drive, daemon=True)
         driver.start()
@@ -409,17 +314,15 @@ def _run_plan(
             return
     finally:
         coordinator.stop()
-        proxy.arm(None)
+        run.wire_fired = proxy.disarm()
         for proc in procs:
             if proc.poll() is None:
                 proc.kill()
             proc.wait()
     if "error" in outcome:
-        run.error = str(outcome["error"])
-        return
-    result = outcome["result"]
+        raise outcome["error"]  # the sweep records it as the run's error
     run.stats = coordinator.stats.snapshot()
-    run.wire_fired = list(proxy.fired)
+    result = outcome["result"]
     _check_run(run, result, baseline, coordinator.stats.check_accounting)
 
 
@@ -433,60 +336,45 @@ def _resume_phase(
     """Abandon a coordinator mid-frontier, resume from its checkpoint."""
     interrupt_after = min(2, len(shards) - 1)
     with tempfile.TemporaryDirectory(prefix="repro-dist-chaos-") as tmp:
-        path = os.path.join(tmp, "frontier.ckpt")
-        first = DistCoordinator(
+        coordinator = functools.partial(
+            DistCoordinator,
             context,
-            shards,
             lease=lease,
-            checkpoint_path=path,
+            checkpoint_path=os.path.join(tmp, "frontier.ckpt"),
             expect_workers=0,
         )
+        first = coordinator(shards)
         # Complete a frontier prefix locally, then walk away without any
         # shutdown — the checkpoint file is all a SIGKILL would leave.
         while first.stats.shards_completed < interrupt_after:
             if not first._maybe_run_local():
-                report.resume_violations.append(
+                report.sweep_violations.append(
                     "interrupted coordinator ran out of local shards early"
                 )
                 return
         if first.stats.frontier_checkpoints < 1:
-            report.resume_violations.append(
+            report.sweep_violations.append(
                 "no frontier checkpoint written before the interrupt"
             )
-        second = DistCoordinator(
-            context,
-            shards,
-            lease=lease,
-            checkpoint_path=path,
-            resume=True,
-            expect_workers=0,
-        )
+        second = coordinator(shards, resume=True)
         result = second.run()
         report.resumed_shards = second.stats.resumed_shards
         if second.stats.resumed_shards != interrupt_after:
-            report.resume_violations.append(
+            report.sweep_violations.append(
                 f"expected {interrupt_after} resumed shard(s), got "
                 f"{second.stats.resumed_shards}"
             )
         if result.key() != baseline.key():
-            report.resume_violations.append(
+            report.sweep_violations.append(
                 "resumed result diverged from the serial baseline"
             )
         # A checkpoint from a *different* job must be refused, typed.
-        foreign = shards[:-1]
         try:
-            DistCoordinator(
-                context,
-                foreign,
-                lease=lease,
-                checkpoint_path=path,
-                resume=True,
-                expect_workers=0,
-            )
+            coordinator(shards[:-1], resume=True)
         except DistError:
             pass
         else:
-            report.resume_violations.append(
+            report.sweep_violations.append(
                 "a foreign job's frontier checkpoint was accepted"
             )
 
@@ -538,19 +426,20 @@ def run_dist_chaos(
     lease = LeasePolicy(timeout_floor=2.0, timeout_mult=8.0)
     baseline = run_serial_baseline(context, shard_list)
 
-    report = DistChaosReport(runs=[])
-    proxy = DistChaosProxy(upstream_port=0)
+    proxy = kernel.ChaosProxy(upstream_port=0)
     try:
-        for index in range(plans):
-            seed = base_seed + index
-            plan = DistChaosPlan.make(
+        runs = kernel.sweep(
+            plans,
+            base_seed,
+            lambda index, seed, _: DistChaosPlan.make(
                 index, seed, horizon=restarts, hang_seconds=3.0
-            )
-            run = DistChaosRun(index=index, seed=seed, plan=plan)
-            _run_plan(
+            ),
+            lambda run: _run_plan(
                 run, context, shard_list, baseline, lease, workers, proxy
-            )
-            report.runs.append(run)
+            ),
+            run_type=DistChaosRun,
+        )
+        report = DistChaosReport(runs=runs)
         _resume_phase(context, shard_list, baseline, lease, report)
     finally:
         proxy.close()

@@ -43,7 +43,7 @@ import heapq
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ...lang.errors import BambooError
@@ -159,30 +159,7 @@ class DistStats:
     resumed_shards: int = 0
 
     def snapshot(self) -> Dict[str, object]:
-        return {
-            "workers_joined": self.workers_joined,
-            "workers_left": self.workers_left,
-            "dispatches": self.dispatches,
-            "local_executions": self.local_executions,
-            "shards_completed": self.shards_completed,
-            "duplicates_discarded": self.duplicates_discarded,
-            "dispatch_failures": self.dispatch_failures,
-            "abandoned": self.abandoned,
-            "lease_expiries": self.lease_expiries,
-            "steals": self.steals,
-            "retries": self.retries,
-            "worker_crashes": self.worker_crashes,
-            "worker_disconnects": self.worker_disconnects,
-            "worker_hangs": self.worker_hangs,
-            "garbled_messages": self.garbled_messages,
-            "local_only_shards": self.local_only_shards,
-            "injected_crashes": self.injected_crashes,
-            "injected_hangs": self.injected_hangs,
-            "forced_lease_expiries": self.forced_lease_expiries,
-            "degraded": self.degraded,
-            "frontier_checkpoints": self.frontier_checkpoints,
-            "resumed_shards": self.resumed_shards,
-        }
+        return asdict(self)
 
     def check_accounting(self) -> List[str]:
         """The exactly-once identity; returns violation strings."""
@@ -303,6 +280,12 @@ class DistCoordinator:
         if self.registry is not None:
             self.registry.counter(f"dist_{name}").inc(amount)
 
+    def _bump(self, *names: str) -> None:
+        """Counts one event under each name, in the stats and the registry."""
+        for name in names:
+            setattr(self.stats, name, getattr(self.stats, name) + 1)
+            self._count(name)
+
     # -- frontier checkpoint -------------------------------------------------
 
     def _load_frontier(self) -> None:
@@ -355,8 +338,7 @@ class DistCoordinator:
                 "shards": len(self.shards),
             },
         )
-        self.stats.frontier_checkpoints += 1
-        self._count("frontier_checkpoints")
+        self._bump("frontier_checkpoints")
 
     # -- shard queue ---------------------------------------------------------
 
@@ -367,8 +349,7 @@ class DistCoordinator:
         if self._attempts.get(shard_id, 0) > self.lease.max_retries:
             if shard_id not in self._local_queue:
                 self._local_queue.append(shard_id)
-                self.stats.local_only_shards += 1
-                self._count("local_only_shards")
+                self._bump("local_only_shards")
             return
         self._heap_seq += 1
         heapq.heappush(self._heap, (ready_time, self._heap_seq, shard_id))
@@ -407,11 +388,9 @@ class DistCoordinator:
         )
         self._push(shard_id, time.monotonic() + delay)
         if reason == "steal":
-            self.stats.steals += 1
-            self._count("steals")
+            self._bump("steals")
         else:
-            self.stats.retries += 1
-            self._count("retries")
+            self._bump("retries")
 
     # -- results -------------------------------------------------------------
 
@@ -430,12 +409,10 @@ class DistCoordinator:
             if dispatch is not None:
                 dispatch.done = True
             if shard_id in self._completed:
-                self.stats.duplicates_discarded += 1
-                self._count("duplicates_discarded")
+                self._bump("duplicates_discarded")
                 return False
             self._completed[shard_id] = result
-            self.stats.shards_completed += 1
-            self._count("shards_completed")
+            self._bump("shards_completed")
             if remote:
                 # Only remote results refresh the degrade clock: a local
                 # execution proving the workers idle must not defer the
@@ -462,17 +439,13 @@ class DistCoordinator:
             if dispatch is None or dispatch.done:
                 return
             dispatch.done = True
-            self.stats.dispatch_failures += 1
-            self._count("dispatch_failures")
+            self._bump("dispatch_failures")
             if kind == "crash":
-                self.stats.worker_crashes += 1
-                self._count("worker_crashes")
+                self._bump("worker_crashes")
             elif kind == "garbled":
-                self.stats.garbled_messages += 1
-                self._count("garbled_messages")
+                self._bump("garbled_messages")
             else:
-                self.stats.worker_disconnects += 1
-                self._count("worker_disconnects")
+                self._bump("worker_disconnects")
             self._requeue(dispatch.shard_id, "retry")
 
     # -- lease monitor -------------------------------------------------------
@@ -486,10 +459,7 @@ class DistCoordinator:
                 if now < dispatch.deadline:
                     continue
                 dispatch.expired = True
-                self.stats.lease_expiries += 1
-                self.stats.worker_hangs += 1
-                self._count("lease_expiries")
-                self._count("worker_hangs")
+                self._bump("lease_expiries", "worker_hangs")
                 if dispatch.shard_id not in self._completed:
                     self._requeue(dispatch.shard_id, "steal")
 
@@ -553,12 +523,10 @@ class DistCoordinator:
             return None, False
         kind, param = fault
         if kind == "crash_worker":
-            self.stats.injected_crashes += 1
-            self._count("injected_crashes")
+            self._bump("injected_crashes")
             return {"kind": "crash"}, False
         if kind == "hang_worker":
-            self.stats.injected_hangs += 1
-            self._count("injected_hangs")
+            self._bump("injected_hangs")
             return {"kind": "hang", "seconds": param}, False
         if kind == "expire_lease":
             return None, True
@@ -579,8 +547,7 @@ class DistCoordinator:
             joined = True
             with self._lock:
                 self._workers_connected += 1
-                self.stats.workers_joined += 1
-                self._count("workers_joined")
+                self._bump("workers_joined")
                 self._last_activity = time.monotonic()
             send_message(
                 conn, {"op": "job", "payload": self._job_payload}
@@ -606,8 +573,7 @@ class DistCoordinator:
                 current_seq = None
             else:
                 with self._lock:
-                    self.stats.garbled_messages += 1
-                    self._count("garbled_messages")
+                    self._bump("garbled_messages")
         except OSError:
             pass
         finally:
@@ -616,8 +582,7 @@ class DistCoordinator:
             if joined:
                 with self._lock:
                     self._workers_connected -= 1
-                    self.stats.workers_left += 1
-                    self._count("workers_left")
+                    self._bump("workers_left")
             try:
                 conn.close()
             except OSError:
@@ -648,20 +613,15 @@ class DistCoordinator:
                 deadline=now + self.lease.deadline_seconds(self._ewma),
             )
             self._outstanding[seq] = dispatch
-            self.stats.dispatches += 1
-            self._count("dispatches")
+            self._bump("dispatches")
             self._last_activity = now
             if forced:
                 # Expire synchronously instead of shrinking the deadline
                 # and racing the monitor tick: the steal is guaranteed,
                 # which is what makes the injection deterministic.
-                self.stats.forced_lease_expiries += 1
-                self._count("forced_lease_expiries")
+                self._bump("forced_lease_expiries")
                 dispatch.expired = True
-                self.stats.lease_expiries += 1
-                self.stats.worker_hangs += 1
-                self._count("lease_expiries")
-                self._count("worker_hangs")
+                self._bump("lease_expiries", "worker_hangs")
                 self._requeue(shard_id, "steal")
         message: Dict[str, object] = {
             "op": "shard",
@@ -745,8 +705,7 @@ class DistCoordinator:
                     if shard_id is not None and no_workers and stale:
                         self.stats.degraded = True
             if shard_id is not None:
-                self.stats.local_executions += 1
-                self._count("local_executions")
+                self._bump("local_executions")
         if shard_id is None:
             return False
         result = execute_shard(self.context, self.shards[shard_id])
@@ -781,8 +740,7 @@ class DistCoordinator:
             for dispatch in self._outstanding.values():
                 if not dispatch.done:
                     dispatch.done = True
-                    self.stats.abandoned += 1
-                    self._count("abandoned")
+                    self._bump("abandoned")
             self._outstanding.clear()
         if self._listener is not None:
             try:

@@ -19,9 +19,10 @@ from __future__ import annotations
 import os
 import socket
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
+from ...chaos import misbehave, spawn_repro
 from .. import retry
 from .messages import (
     DIST_PROTOCOL,
@@ -51,15 +52,7 @@ class WorkerStats:
     protocol_errors: int = 0
 
     def snapshot(self) -> Dict[str, int]:
-        return {
-            "connects": self.connects,
-            "reconnects": self.reconnects,
-            "jobs_loaded": self.jobs_loaded,
-            "shards_executed": self.shards_executed,
-            "results_sent": self.results_sent,
-            "shard_errors": self.shard_errors,
-            "protocol_errors": self.protocol_errors,
-        }
+        return asdict(self)
 
 
 def run_dist_worker(
@@ -209,12 +202,9 @@ def _apply_chaos(token, log, name: str) -> None:
     ``hang`` sleeps past the shard's lease before working."""
     if not isinstance(token, dict):
         return
-    kind = token.get("kind")
-    if kind == "crash":
+    if token.get("kind") == "crash":
         _log(log, f"{name}: chaos crash token — exiting hard")
-        os._exit(137)
-    if kind == "hang":
-        time.sleep(float(token.get("seconds", 1.0)))
+    misbehave(token.get("kind"), float(token.get("seconds", 1.0)))
 
 
 def _log(log, message: str) -> None:
@@ -226,21 +216,9 @@ def spawn_worker_process(host: str, port: int, name: str):
     """Starts ``repro dist-worker`` as a subprocess against the given
     coordinator; the caller owns the process handle."""
     import subprocess
-    import sys
 
-    package_root = os.path.dirname(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    )
-    source_root = os.path.dirname(package_root)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = source_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    return subprocess.Popen(
+    return spawn_repro(
         [
-            sys.executable,
-            "-m",
-            "repro",
             "dist-worker",
             "--host",
             host,
@@ -249,7 +227,6 @@ def spawn_worker_process(host: str, port: int, name: str):
             "--name",
             name,
         ],
-        env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )

@@ -353,10 +353,6 @@ def _worker_session() -> SimSession:
     return session
 
 
-def _simulate_in_worker(layout: Layout, cutoff: Optional[int]) -> SimResult:
-    return _worker_session().simulate(layout, cutoff=cutoff)
-
-
 def _simulate_chunk(
     layouts: Sequence[Layout], cutoff: Optional[int]
 ) -> List[SimResult]:

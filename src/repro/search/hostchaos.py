@@ -26,27 +26,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
-
-@dataclass(frozen=True)
-class HostFault:
-    """One injected worker misbehavior, keyed by dispatch sequence id."""
-
-    dispatch: int
-    kind: str  # "crash" | "hang"
+from .. import chaos as kernel
 
 
 @dataclass(frozen=True)
 class HostChaosPlan:
     """A seeded set of host faults for one supervised synthesis.
 
-    ``dispatch`` ids index the supervisor's global submission counter
-    (retries included), so a plan is pure data: the same plan against the
-    same workload designates the same simulations.
+    Each fault's ``key`` indexes the supervisor's global dispatch counter
+    (retries included) and its ``kind`` is ``"crash"`` or ``"hang"``, so a
+    plan is pure data: the same plan against the same workload designates
+    the same simulations.
     """
 
-    faults: Tuple[HostFault, ...]
+    faults: Tuple[kernel.Fault, ...]
     seed: int = 0
 
     @classmethod
@@ -59,9 +54,11 @@ class HostChaosPlan:
         max_hangs: int = 1,
     ) -> "HostChaosPlan":
         """Builds the ``index``-th plan of a sweep. Plan 0 is always
-        empty — the control. ``horizon`` should be the fault-free run's
-        dispatch count (``SynthesisReport.evaluations``) so designated
-        ids actually fire."""
+        empty — the control. ``horizon`` should be the fault-free
+        supervised run's dispatch count (the control's
+        ``supervision["dispatches"]``) so designated ids actually fire.
+        The supervisor dispatches chunks of layouts, so the run's
+        evaluation count would overshoot it."""
         if index == 0:
             return cls(faults=(), seed=seed)
         rng = random.Random(seed)
@@ -70,234 +67,57 @@ class HostChaosPlan:
         hangs = rng.randint(0, max_hangs)
         picks = rng.sample(range(horizon), min(horizon, crashes + hangs))
         faults = tuple(
-            HostFault(dispatch=pick, kind="crash" if i < crashes else "hang")
+            kernel.Fault(key=pick, kind="crash" if i < crashes else "hang")
             for i, pick in enumerate(picks)
         )
         return cls(faults=faults, seed=seed)
-
-    def kind_for(self, dispatch: int) -> Optional[str]:
-        for fault in self.faults:
-            if fault.dispatch == dispatch:
-                return fault.kind
-        return None
 
     def is_empty(self) -> bool:
         return not self.faults
 
     def describe(self) -> str:
-        if not self.faults:
-            return "host chaos: empty plan (control)"
-        parts = ", ".join(
-            f"{fault.kind}@{fault.dispatch}"
-            for fault in sorted(self.faults, key=lambda f: f.dispatch)
-        )
-        return f"host chaos: {len(self.faults)} fault(s): {parts}"
-
-
-@dataclass(frozen=True)
-class DistFault:
-    """One injected distributed-search misbehavior.
-
-    ``key`` indexes either the coordinator's global dispatch sequence
-    (dispatch faults) or the chaos proxy's downstream message sequence
-    (wire faults), so — like :class:`HostFault` — a plan is pure data.
-    """
-
-    key: int
-    kind: str  # dispatch: crash_worker | hang_worker | expire_lease
-    #          # wire:     drop_conn | garble
-    param: Optional[float] = None
-
-
-#: faults the coordinator injects itself, keyed by dispatch seq
-DIST_DISPATCH_KINDS = ("crash_worker", "hang_worker", "expire_lease")
-#: faults the chaos proxy injects in transit, keyed by message seq
-DIST_WIRE_KINDS = ("drop_conn", "garble")
-
-
-@dataclass(frozen=True)
-class DistChaosPlan:
-    """A seeded set of faults for one distributed search — the host-chaos
-    idea one level up: instead of misbehaving worker *processes* inside
-    one search, whole worker *hosts* and their connections misbehave.
-
-    Dispatch faults ride on shard messages (the worker crashes hard or
-    hangs past its lease; the coordinator force-expires a lease); wire
-    faults fire in the proxy between the two (connection dropped with an
-    RST, a message garbled in transit); ``kill_worker`` tells the
-    harness to SIGKILL one worker process externally mid-run. Plan 0 of
-    every sweep is empty — the control.
-    """
-
-    dispatch_faults: Tuple[DistFault, ...] = ()
-    wire_faults: Tuple[DistFault, ...] = ()
-    kill_worker: bool = False
-    seed: int = 0
-
-    @classmethod
-    def make(
-        cls,
-        index: int,
-        seed: int,
-        horizon: int,
-        hang_seconds: float = 3.0,
-        max_faults: int = 2,
-    ) -> "DistChaosPlan":
-        """Builds the ``index``-th plan of a sweep. ``horizon`` should be
-        the shard count: with one dispatch per shard guaranteed, every
-        designated id in ``1..horizon`` is reached. Fault families rotate
-        on fixed strides (like :class:`repro.serve.netchaos.NetChaosPlan`)
-        so even a 4-plan sweep exercises dispatch faults, wire faults,
-        and an external worker SIGKILL."""
-        if index == 0:
-            return cls(seed=seed)
-        rng = random.Random(seed)
-        horizon = max(1, horizon)
-        count = rng.randint(1, max(1, min(max_faults, horizon)))
-        picks = rng.sample(range(1, horizon + 1), min(horizon, count))
-        dispatch = tuple(
-            DistFault(
-                key=pick,
-                kind=rng.choice(DIST_DISPATCH_KINDS),
-                param=hang_seconds,
-            )
-            for pick in sorted(picks)
-        )
-        wire: Tuple[DistFault, ...] = ()
-        if index % 2 == 0:
-            wire = tuple(
-                DistFault(
-                    key=pick, kind=rng.choice(DIST_WIRE_KINDS)
-                )
-                for pick in sorted(
-                    rng.sample(range(1, horizon + 1), min(horizon, 2))
-                )
-            )
-        return cls(
-            dispatch_faults=dispatch,
-            wire_faults=wire,
-            kill_worker=index % 3 == 2,
-            seed=seed,
-        )
-
-    @classmethod
-    def scripted(
-        cls,
-        crash=(),
-        hang=(),
-        expire=(),
-        hang_seconds: float = 3.0,
-    ) -> "DistChaosPlan":
-        """A hand-written plan from explicit dispatch ids — what the
-        CLI's ``--chaos-crash/--chaos-hang/--chaos-expire`` flags and the
-        CI dist-smoke job build."""
-        faults = tuple(
-            [DistFault(key=s, kind="crash_worker") for s in crash]
-            + [
-                DistFault(key=s, kind="hang_worker", param=hang_seconds)
-                for s in hang
-            ]
-            + [DistFault(key=s, kind="expire_lease") for s in expire]
-        )
-        return cls(dispatch_faults=faults)
-
-    def dispatch_fault(self, seq: int) -> Optional[Tuple[str, Optional[float]]]:
-        """The coordinator's hook: the fault riding on dispatch ``seq``."""
-        for fault in self.dispatch_faults:
-            if fault.key == seq:
-                return fault.kind, fault.param
-        return None
-
-    def wire_fault(self, seq: int) -> Optional[str]:
-        """The proxy's hook: the fault for downstream message ``seq``."""
-        for fault in self.wire_faults:
-            if fault.key == seq:
-                return fault.kind
-        return None
-
-    def is_empty(self) -> bool:
-        return not (
-            self.dispatch_faults or self.wire_faults or self.kill_worker
-        )
-
-    def describe(self) -> str:
-        if self.is_empty():
-            return "dist chaos: empty plan (control)"
-        parts = [
-            f"{fault.kind}@{fault.key}"
-            for fault in sorted(
-                self.dispatch_faults + self.wire_faults,
-                key=lambda f: (f.key, f.kind),
-            )
-        ]
-        if self.kill_worker:
-            parts.append("kill_worker")
-        return f"dist chaos: {len(parts)} fault(s): {', '.join(parts)}"
+        return kernel.describe_plan("host chaos", self.faults)
 
 
 @dataclass
-class HostChaosRun:
+class HostChaosRun(kernel.ChaosRun):
     """Outcome of one plan."""
 
-    index: int
-    seed: int
-    plan: HostChaosPlan
-    report: Optional[object] = None  # SynthesisReport
-    supervision: Optional[Dict[str, object]] = None
-    error: Optional[str] = None
-    violations: List[str] = field(default_factory=list)
+    CONTROL_ZERO: ClassVar[Tuple[str, ...]] = (
+        "injected_crashes",
+        "injected_hangs",
+        "worker_retries",
+        "pool_rebuilds",
+    )
 
-    @property
-    def ok(self) -> bool:
-        return self.error is None and not self.violations
+    #: the run's SynthesisReport
+    report: Optional[object] = field(default=None, metadata=kernel.NOT_JSON)
+    supervision: Optional[Dict[str, object]] = None
+
+    def counters(self) -> Dict[str, object]:
+        return self.supervision or {}
 
 
 @dataclass
-class HostChaosReport:
+class HostChaosReport(kernel.ChaosReport):
     """Outcome of a full host-chaos sweep."""
 
-    runs: List[HostChaosRun]
-    baseline: object  # SynthesisReport
+    SCHEMA: ClassVar[str] = "repro.search/host-chaos-report-v1"
+    INVARIANTS: ClassVar[str] = (
+        "termination, result bit-identity, retry/rebuild accounting"
+    )
 
-    @property
-    def ok(self) -> bool:
-        return all(run.ok for run in self.runs)
+    baseline: object = None  # SynthesisReport
 
-    def violations(self) -> List[str]:
-        lines: List[str] = []
-        for run in self.runs:
-            if run.error is not None:
-                lines.append(f"plan {run.index} (seed {run.seed}): {run.error}")
-            for violation in run.violations:
-                lines.append(f"plan {run.index} (seed {run.seed}): {violation}")
-        return lines
-
-    def total(self, counter: str) -> int:
-        return sum(
-            int(run.supervision.get(counter, 0))
-            for run in self.runs
-            if run.supervision is not None
-        )
-
-    def describe(self) -> str:
+    def headline(self) -> List[str]:
         injected = sum(len(run.plan.faults) for run in self.runs)
-        lines = [
+        return [
             f"host chaos: {len(self.runs)} plan(s), {injected} fault(s) "
             f"planned, {self.total('injected_crashes')} crash(es) + "
             f"{self.total('injected_hangs')} hang(s) fired, "
             f"{self.total('worker_retries')} retry(ies), "
             f"{self.total('pool_rebuilds')} pool rebuild(s)"
         ]
-        bad = self.violations()
-        if bad:
-            lines.append(f"INVARIANT VIOLATIONS ({len(bad)}):")
-            lines.extend(f"  {line}" for line in bad)
-        else:
-            lines.append(
-                "all invariants held: termination, result bit-identity, "
-                "retry/rebuild accounting"
-            )
-        return "\n".join(lines)
 
 
 def _report_key(report) -> Tuple:
@@ -317,7 +137,8 @@ def _report_key(report) -> Tuple:
 
 
 def _check_run(run: HostChaosRun, baseline) -> None:
-    """Applies the per-plan invariants; violations land on ``run``."""
+    """Applies the per-plan invariants; violations land on ``run``.
+    The control plan's zero-activity check is the sweep's."""
     report = run.report
     stats = run.supervision or {}
     if _report_key(report) != _report_key(baseline):
@@ -326,35 +147,27 @@ def _check_run(run: HostChaosRun, baseline) -> None:
             f"({report.estimated_cycles} vs {baseline.estimated_cycles} "
             "cycles)"
         )
+    if run.plan.is_empty():
+        return
     fired = int(stats.get("injected_crashes", 0)) + int(
         stats.get("injected_hangs", 0)
     )
     retries = int(stats.get("worker_retries", 0))
     rebuilds = int(stats.get("pool_rebuilds", 0))
-    if run.plan.is_empty():
-        if fired or retries or rebuilds:
-            run.violations.append(
-                "control plan recorded supervision activity: "
-                f"fired={fired} retries={retries} rebuilds={rebuilds}"
-            )
-    else:
-        if fired == 0:
-            run.violations.append(
-                "no planned fault fired (horizon too large for workload?)"
-            )
-        if retries < fired:
-            run.violations.append(
-                f"{fired} fault(s) fired but only {retries} retry(ies) "
-                "recorded"
-            )
-        if fired and rebuilds < 1:
-            run.violations.append(
-                f"{fired} fault(s) fired but the pool was never rebuilt"
-            )
-        if rebuilds > retries:
-            run.violations.append(
-                f"{rebuilds} rebuild(s) exceed {retries} retry(ies)"
-            )
+    kernel.check_fired(run, fired)
+    if retries < fired:
+        run.violations.append(
+            f"{fired} fault(s) fired but only {retries} retry(ies) "
+            "recorded"
+        )
+    if fired and rebuilds < 1:
+        run.violations.append(
+            f"{fired} fault(s) fired but the pool was never rebuilt"
+        )
+    if rebuilds > retries:
+        run.violations.append(
+            f"{rebuilds} rebuild(s) exceed {retries} retry(ies)"
+        )
 
 
 def run_host_chaos(
@@ -372,7 +185,8 @@ def run_host_chaos(
     ``options`` is the :class:`repro.SynthesisOptions` template for every
     run (anneal schedule, hints, ...); the harness forces ``workers=1``
     with supervision off for the baseline and ``workers``/supervision/
-    chaos for the plans. Like :func:`repro.resilience.chaos.run_chaos`,
+    chaos for the plans. Fault dispatch ids are drawn below the control
+    plan's dispatch count. Like :func:`repro.resilience.chaos.run_chaos`,
     nothing raises on violation — the report carries the verdicts.
     """
     from dataclasses import replace
@@ -389,32 +203,30 @@ def run_host_chaos(
             options, workers=1, supervise=False, host_chaos=None,
         ),
     )
-    horizon = max(1, baseline.evaluations)
 
-    report_runs: List[HostChaosRun] = []
-    for index in range(runs):
-        seed = base_seed + index
-        plan = HostChaosPlan.make(index, seed, horizon)
-        run = HostChaosRun(index=index, seed=seed, plan=plan)
-        try:
-            report = synthesize_layout(
-                compiled, profile, num_cores,
-                options=replace(
-                    options,
-                    workers=max(2, workers),
-                    supervise=True,
-                    retry_policy=policy,
-                    host_chaos=None if plan.is_empty() else plan,
-                ),
-            )
-        except Exception as exc:  # noqa: BLE001 - verdict, not control flow
-            run.error = f"{type(exc).__name__}: {exc}"
-            report_runs.append(run)
-            continue
-        run.report = report
+    def make_plan(index: int, seed: int, done) -> HostChaosPlan:
+        control = (done[0].supervision if done else None) or {}
+        return HostChaosPlan.make(
+            index, seed, int(control.get("dispatches", 0))
+        )
+
+    def execute(run: HostChaosRun) -> None:
+        run.report = synthesize_layout(
+            compiled, profile, num_cores,
+            options=replace(
+                options,
+                workers=max(2, workers),
+                supervise=True,
+                retry_policy=policy,
+                host_chaos=None if run.plan.is_empty() else run.plan,
+            ),
+        )
         # Plan 0 also runs *with* supervision, so its zero-counter check
         # exercises the supervised path, not a disabled one.
-        run.supervision = report.search_metrics.get("supervision") or {}
+        run.supervision = run.report.search_metrics.get("supervision") or {}
         _check_run(run, baseline)
-        report_runs.append(run)
+
+    report_runs = kernel.sweep(
+        runs, base_seed, make_plan, execute, run_type=HostChaosRun
+    )
     return HostChaosReport(runs=report_runs, baseline=baseline)

@@ -41,10 +41,9 @@ worker) or hang (sleep past its deadline).
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import TimeoutError as FutureTimeout
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 try:  # pragma: no cover - present on every supported runtime
@@ -52,6 +51,7 @@ try:  # pragma: no cover - present on every supported runtime
 except ImportError:  # pragma: no cover - defensive
     BrokenProcessPool = OSError  # type: ignore[assignment,misc]
 
+from ..chaos import fault_at, misbehave
 from ..obs import prof
 from ..obs.events import Event, PoolRebuild, WorkerRetry
 from ..schedule.layout import Layout
@@ -68,7 +68,6 @@ from .evaluator import (
     _chunk_bounds,
     _init_worker,
     _simulate_chunk,
-    _simulate_in_worker,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -146,13 +145,9 @@ class SupervisionStats:
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready counters for the search-metrics snapshot."""
         return {
-            "dispatches": self.dispatches,
-            "worker_retries": self.worker_retries,
-            "pool_rebuilds": self.pool_rebuilds,
-            "serial_fallbacks": self.serial_fallbacks,
-            "injected_crashes": self.injected_crashes,
-            "injected_hangs": self.injected_hangs,
-            "degraded": self.degraded,
+            item.name: getattr(self, item.name)
+            for item in fields(self)
+            if item.name != "events"
         }
 
 
@@ -161,22 +156,6 @@ class SupervisionStats:
 #: thunder in lockstep yet replays stay reproducible. Shared with the
 #: serve client and the dist lease layer via :mod:`repro.search.retry`.
 _jitter = retry.jitter
-
-
-def _chaos_simulate(
-    layout: Layout, cutoff: Optional[int], chaos: Optional[Tuple[str, float]]
-) -> Tuple[float, SimResult]:
-    """Single-layout supervised worker entry point: optionally misbehave,
-    then simulate and report the observed wall-time for the EWMA."""
-    if chaos is not None:
-        kind, seconds = chaos
-        if kind == "crash":
-            os._exit(3)
-        elif kind == "hang":
-            time.sleep(min(seconds, HANG_SLEEP_CAP))
-    started = time.monotonic()
-    result = _simulate_in_worker(layout, cutoff)
-    return time.monotonic() - started, result
 
 
 def _chaos_simulate_chunk(
@@ -188,10 +167,7 @@ def _chaos_simulate_chunk(
     simulate the whole chunk and report its observed wall-time."""
     if chaos is not None:
         kind, seconds = chaos
-        if kind == "crash":
-            os._exit(3)
-        elif kind == "hang":
-            time.sleep(min(seconds, HANG_SLEEP_CAP))
+        misbehave(kind, min(seconds, HANG_SLEEP_CAP))
     started = time.monotonic()
     results = _simulate_chunk(layouts, cutoff)
     return time.monotonic() - started, results
@@ -271,7 +247,7 @@ class SupervisedEvaluator(ParallelEvaluator):
     def close(self) -> None:
         self._teardown_pool()
 
-    def _handle_pool_failure(self, reason: str, retried: int) -> None:
+    def _handle_pool_failure(self, reason: str) -> None:
         """One failure round: account, rebuild (or degrade), back off."""
         self._consecutive_pool_failures += 1
         self.stats.pool_rebuilds += 1
@@ -306,10 +282,10 @@ class SupervisedEvaluator(ParallelEvaluator):
         about to be numbered ``self._dispatch_seq``."""
         if self.chaos is None:
             return None
-        kind = self.chaos.kind_for(self._dispatch_seq)
-        if kind is None:
+        fault = fault_at(self.chaos.faults, self._dispatch_seq)
+        if fault is None:
             return None
-        if kind == "crash":
+        if fault.kind == "crash":
             self.stats.injected_crashes += 1
             return ("crash", 0.0)
         self.stats.injected_hangs += 1
@@ -471,7 +447,7 @@ class SupervisedEvaluator(ParallelEvaluator):
                             reason=failure,
                         )
                     )
-                self._handle_pool_failure(failure, retried=len(pending))
+                self._handle_pool_failure(failure)
         finally:
             self._pending = []
             if profiler is not None and compute_count:

@@ -36,7 +36,6 @@ from .netchaos import (
     ChaosProxy,
     NetChaosPlan,
     NetChaosReport,
-    NetFault,
     run_net_chaos,
 )
 from .protocol import (
@@ -69,7 +68,6 @@ __all__ = [
     "MAX_LINE_BYTES",
     "NetChaosPlan",
     "NetChaosReport",
-    "NetFault",
     "OPS",
     "PROTOCOL",
     "ProgramMemo",

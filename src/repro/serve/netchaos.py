@@ -5,11 +5,12 @@ injects faults into the *simulated machine*, :mod:`repro.search.hostchaos`
 into the *host worker processes*, and this module into the *network and
 daemon process* between a client and the synthesis service:
 
-* a fault-injecting TCP proxy (:class:`ChaosProxy`) sits between a
-  retrying :class:`repro.serve.client.ServeClient` and a real ``repro
-  serve`` subprocess, and — per a seeded :class:`NetChaosPlan` — resets
-  connections, truncates responses mid-line, injects garbage bytes, or
-  delays responses past the client's timeout;
+* the shared fault-injecting TCP proxy (:class:`repro.chaos.ChaosProxy`)
+  sits between a retrying :class:`repro.serve.client.ServeClient` and a
+  real ``repro serve`` subprocess, and — per a seeded
+  :class:`NetChaosPlan` — resets connections, truncates responses
+  mid-line, injects garbage bytes, or delays responses past the client's
+  timeout;
 * server-side fault points fire through the daemon's gated ``inject``
   operation (a failing store flush) and through a mid-request SIGKILL of
   the daemon process followed by a restart on the same cache file.
@@ -45,15 +46,14 @@ import json
 import os
 import random
 import re
-import socket
-import struct
 import subprocess
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
+from .. import chaos as kernel
+from ..chaos import ChaosProxy
 from .client import (
     ClientRetryPolicy,
     ServeClient,
@@ -63,23 +63,17 @@ from .client import (
 from .protocol import ProtocolError
 
 #: client-visible proxy fault kinds
-PROXY_FAULT_KINDS = ("reset", "truncate", "garbage", "delay")
-
-
-@dataclass(frozen=True)
-class NetFault:
-    """One injected network misbehavior, keyed by the proxy's global
-    request sequence (retries included, so a plan is pure data)."""
-
-    request: int
-    kind: str  # one of PROXY_FAULT_KINDS
+PROXY_FAULT_KINDS = kernel.WIRE_FAULT_KINDS
 
 
 @dataclass(frozen=True)
 class NetChaosPlan:
-    """A seeded set of serve-layer faults for one sweep iteration."""
+    """A seeded set of serve-layer faults for one sweep iteration.
 
-    faults: Tuple[NetFault, ...]
+    Each proxy fault's ``key`` is the proxy's response line number within
+    the plan (retries included, so a plan is pure data)."""
+
+    faults: Tuple[kernel.Fault, ...]
     seed: int = 0
     #: arm the daemon's flush fault point and check degradation reporting
     flush_fail: bool = False
@@ -104,7 +98,7 @@ class NetChaosPlan:
         count = rng.randint(1, max(1, max_faults))
         picks = rng.sample(range(max(1, horizon)), min(horizon, count))
         faults = tuple(
-            NetFault(request=pick, kind=rng.choice(PROXY_FAULT_KINDS))
+            kernel.Fault(key=pick, kind=rng.choice(PROXY_FAULT_KINDS))
             for pick in sorted(picks)
         )
         # Server-side fault points rotate on fixed strides so even a
@@ -120,164 +114,12 @@ class NetChaosPlan:
         return not (self.faults or self.flush_fail or self.kill)
 
     def describe(self) -> str:
-        if self.is_empty():
-            return "net chaos: empty plan (control)"
-        parts = [
-            f"{fault.kind}@{fault.request}"
-            for fault in sorted(self.faults, key=lambda f: f.request)
+        flags = [
+            name
+            for name, on in (("flush_fail", self.flush_fail), ("kill", self.kill))
+            if on
         ]
-        if self.flush_fail:
-            parts.append("flush_fail")
-        if self.kill:
-            parts.append("kill")
-        return f"net chaos: {len(parts)} fault(s): {', '.join(parts)}"
-
-
-# -- the fault-injecting proxy -------------------------------------------------
-
-
-class ChaosProxy:
-    """A line-oriented TCP proxy that injects :class:`NetFault` kinds.
-
-    Forwards newline-delimited requests to the upstream daemon and
-    responses back, counting requests on one global sequence (shared
-    across connections, so retries advance it). When the armed plan
-    designates the current request, the proxy misbehaves *on the
-    response path* — the daemon always sees and executes the request,
-    which is exactly the hard case: the client must decide to re-send
-    without knowing whether the work happened. Determinism makes that
-    safe.
-
-    ``set_upstream`` re-points the proxy after a daemon restart; new
-    connections reach the new daemon while old ones die with the old.
-    """
-
-    def __init__(
-        self,
-        upstream_port: int,
-        host: str = "127.0.0.1",
-        delay_seconds: float = 1.6,
-    ):
-        self.host = host
-        self.delay_seconds = delay_seconds
-        self._upstream_port = upstream_port
-        self._plan: Optional[NetChaosPlan] = None
-        self._lock = threading.Lock()
-        self._sequence = 0
-        #: (request, kind) pairs that actually fired since the last arm()
-        self.fired: List[Tuple[int, str]] = []
-        self._closing = False
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, 0))
-        self._listener.listen(16)
-        self.port = self._listener.getsockname()[1]
-        self._accepter = threading.Thread(
-            target=self._accept_loop, name="chaos-proxy-accept", daemon=True
-        )
-        self._accepter.start()
-
-    def arm(self, plan: Optional[NetChaosPlan]) -> None:
-        """Installs a plan and resets the request sequence and the fired
-        log (each plan numbers its own requests from 0)."""
-        with self._lock:
-            self._plan = plan
-            self._sequence = 0
-            self.fired = []
-
-    def set_upstream(self, port: int) -> None:
-        with self._lock:
-            self._upstream_port = port
-
-    def close(self) -> None:
-        self._closing = True
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover
-            pass
-
-    # -- internals -----------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while not self._closing:
-            try:
-                client, _ = self._listener.accept()
-            except OSError:
-                return
-            threading.Thread(
-                target=self._handle,
-                args=(client,),
-                name="chaos-proxy-conn",
-                daemon=True,
-            ).start()
-
-    def _next_fault(self) -> Optional[str]:
-        with self._lock:
-            sequence = self._sequence
-            self._sequence += 1
-            plan = self._plan
-            if plan is None:
-                return None
-            for fault in plan.faults:
-                if fault.request == sequence:
-                    self.fired.append((sequence, fault.kind))
-                    return fault.kind
-            return None
-
-    def _handle(self, client: socket.socket) -> None:
-        with self._lock:
-            upstream_port = self._upstream_port
-        try:
-            upstream = socket.create_connection(
-                (self.host, upstream_port), timeout=5.0
-            )
-        except OSError:
-            # Daemon down (e.g. between kill and restart): drop the
-            # client, which sees a clean connection failure and retries.
-            client.close()
-            return
-        client_reader = client.makefile("rb")
-        upstream_reader = upstream.makefile("rb")
-        try:
-            while True:
-                request = client_reader.readline()
-                if not request:
-                    return
-                kind = self._next_fault()
-                upstream.sendall(request)
-                response = upstream_reader.readline()
-                if not response:
-                    return
-                if kind is None:
-                    client.sendall(response)
-                    continue
-                if kind == "reset":
-                    # RST instead of FIN: the hard drop.
-                    client.setsockopt(
-                        socket.SOL_SOCKET,
-                        socket.SO_LINGER,
-                        struct.pack("ii", 1, 0),
-                    )
-                    return
-                if kind == "truncate":
-                    client.sendall(response[: max(1, len(response) // 2)])
-                    return
-                if kind == "garbage":
-                    client.sendall(b"\x16\x03\x01 not json \xff\xfe\n")
-                    return
-                # "delay": hold the response past the client's timeout;
-                # the late bytes land on a connection the client already
-                # abandoned.
-                time.sleep(self.delay_seconds)
-                client.sendall(response)
-        except OSError:
-            return
-        finally:
-            for handle in (client_reader, upstream_reader, client, upstream):
-                try:
-                    handle.close()
-                except OSError:  # pragma: no cover
-                    pass
+        return kernel.describe_plan("net chaos", self.faults, *flags)
 
 
 # -- daemon subprocess management ----------------------------------------------
@@ -292,23 +134,11 @@ class DaemonProcess:
         self,
         cache_path: str,
         flush_interval: float = 3600.0,
-        extra_args: Sequence[str] = (),
         startup_timeout: float = 30.0,
     ):
         self.cache_path = cache_path
-        package_root = os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__))
-        )
-        source_root = os.path.dirname(package_root)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = source_root + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        self.proc = subprocess.Popen(
+        self.proc = kernel.spawn_repro(
             [
-                sys.executable,
-                "-m",
-                "repro",
                 "serve",
                 "--host",
                 "127.0.0.1",
@@ -323,9 +153,7 @@ class DaemonProcess:
                 "--flush-interval",
                 str(flush_interval),
                 "--allow-chaos",
-                *extra_args,
             ],
-            env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
         )
@@ -387,103 +215,51 @@ class DaemonProcess:
 
 
 @dataclass
-class NetChaosRun:
+class NetChaosRun(kernel.ChaosRun):
     """Outcome of one plan."""
 
-    index: int
-    seed: int
-    plan: NetChaosPlan
+    CONTROL_ZERO: ClassVar[Tuple[str, ...]] = ("fired", "retries")
+
     calls: int = 0
     retries: int = 0
     fired: List[Tuple[int, str]] = field(default_factory=list)
     #: typed errors accepted by the contract (kill-phase call only)
     typed_errors: List[str] = field(default_factory=list)
-    error: Optional[str] = None
-    violations: List[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return self.error is None and not self.violations
+    def counters(self) -> Dict[str, int]:
+        return {"fired": len(self.fired), "retries": self.retries}
 
 
 @dataclass
-class NetChaosReport:
-    """Outcome of a full net-chaos sweep."""
+class NetChaosReport(kernel.ChaosReport):
+    """Outcome of a full net-chaos sweep. Its sweep-level violations are
+    the shutdown and final cache checks."""
 
-    runs: List[NetChaosRun]
+    SCHEMA: ClassVar[str] = "repro.serve/net-chaos-report-v2"
+    INVARIANTS: ClassVar[str] = (
+        "typed outcomes, result bit-identity, daemon liveness, cache "
+        "durability, degradation reporting"
+    )
+
     #: exit code of the final graceful shutdown (0 = clean drain + flush)
     shutdown_exit: Optional[int] = None
-    #: sweep-level violations (shutdown / final cache checks)
-    sweep_violations: List[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.sweep_violations and all(run.ok for run in self.runs)
-
-    def violations(self) -> List[str]:
-        lines: List[str] = []
-        for run in self.runs:
-            if run.error is not None:
-                lines.append(f"plan {run.index} (seed {run.seed}): {run.error}")
-            for violation in run.violations:
-                lines.append(
-                    f"plan {run.index} (seed {run.seed}): {violation}"
-                )
-        lines.extend(f"sweep: {violation}" for violation in self.sweep_violations)
-        return lines
-
-    def total_fired(self) -> int:
-        return sum(len(run.fired) for run in self.runs)
-
-    def total_retries(self) -> int:
-        return sum(run.retries for run in self.runs)
-
-    def describe(self) -> str:
+    def headline(self) -> List[str]:
         kills = sum(1 for run in self.runs if run.plan.kill)
         flush_fails = sum(1 for run in self.runs if run.plan.flush_fail)
-        lines = [
+        return [
             f"net chaos: {len(self.runs)} plan(s), "
-            f"{self.total_fired()} proxy fault(s) fired, "
+            f"{self.total('fired')} proxy fault(s) fired, "
             f"{kills} daemon kill(s), {flush_fails} flush failure(s), "
-            f"{self.total_retries()} client retry(ies), "
+            f"{self.total('retries')} client retry(ies), "
             f"shutdown exit {self.shutdown_exit}"
         ]
-        bad = self.violations()
-        if bad:
-            lines.append(f"INVARIANT VIOLATIONS ({len(bad)}):")
-            lines.extend(f"  {line}" for line in bad)
-        else:
-            lines.append(
-                "all invariants held: typed outcomes, result bit-identity, "
-                "daemon liveness, cache durability, degradation reporting"
-            )
-        return "\n".join(lines)
 
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready form (the CI chaos-report artifact)."""
+    def summary(self) -> Dict[str, object]:
         return {
-            "format": "repro.serve/net-chaos-report-v1",
-            "ok": self.ok,
-            "plans": len(self.runs),
-            "proxy_faults_fired": self.total_fired(),
-            "client_retries": self.total_retries(),
+            "proxy_faults_fired": self.total("fired"),
+            "client_retries": self.total("retries"),
             "shutdown_exit": self.shutdown_exit,
-            "violations": self.violations(),
-            "runs": [
-                {
-                    "index": run.index,
-                    "seed": run.seed,
-                    "plan": run.plan.describe(),
-                    "calls": run.calls,
-                    "retries": run.retries,
-                    "fired": [list(item) for item in run.fired],
-                    "typed_errors": run.typed_errors,
-                    "error": run.error,
-                    "violations": run.violations,
-                    "ok": run.ok,
-                }
-                for run in self.runs
-            ],
         }
 
 
@@ -496,14 +272,11 @@ def _canonical(result) -> str:
 def _default_params(
     bench: str, cores: int, seed: int, max_evaluations: int
 ) -> Dict[str, object]:
-    from ..bench import get_spec
+    from ..bench import get_spec, load_source
 
-    spec = get_spec(bench)
-    with open(spec.path, "r") as handle:
-        source = handle.read()
     return {
-        "source": source,
-        "filename": spec.filename,
+        "source": load_source(bench),
+        "filename": get_spec(bench).filename,
         "args": ["24"],
         "optimize": True,
         "cores": cores,
@@ -580,29 +353,27 @@ def run_net_chaos(
                 warmup.call("simulate", **simulate_params)
                 warmup.flush()
 
-            runs: List[NetChaosRun] = []
-            for index in range(plans):
-                plan_seed = base_seed + index
-                plan = NetChaosPlan.make(
-                    index, plan_seed, horizon=len(workload)
+            def execute(run: NetChaosRun) -> None:
+                nonlocal daemon
+                daemon = _run_plan(
+                    run,
+                    daemon,
+                    proxy,
+                    workload,
+                    cache_path,
+                    client_timeout,
+                    synth_params,
                 )
-                run = NetChaosRun(index=index, seed=plan_seed, plan=plan)
-                try:
-                    daemon = _run_plan(
-                        run,
-                        plan,
-                        daemon,
-                        proxy,
-                        workload,
-                        cache_path,
-                        client_timeout,
-                        execute_synthesize,
-                        synth_params,
-                    )
-                except Exception as exc:  # noqa: BLE001 - verdict, not flow
-                    run.error = f"{type(exc).__name__}: {exc}"
-                runs.append(run)
 
+            runs = kernel.sweep(
+                plans,
+                base_seed,
+                lambda index, seed, _: NetChaosPlan.make(
+                    index, seed, horizon=len(workload)
+                ),
+                execute,
+                run_type=NetChaosRun,
+            )
             report = NetChaosReport(runs=runs)
             _final_checks(report, daemon, cache_path)
         finally:
@@ -617,18 +388,17 @@ def run_net_chaos(
 
 def _run_plan(
     run: NetChaosRun,
-    plan: NetChaosPlan,
     daemon: DaemonProcess,
     proxy: ChaosProxy,
     workload,
     cache_path: str,
     client_timeout: float,
-    execute_synthesize,
     synth_params: Dict[str, object],
 ) -> DaemonProcess:
     """One plan: proxy-faulted workload, then the server-side fault
     phases. Returns the (possibly restarted) daemon."""
-    proxy.arm(plan)
+    plan = run.plan
+    proxy.arm(plan.faults)
     policy = ClientRetryPolicy(
         max_attempts=6, backoff_base=0.02, backoff_cap=0.25
     )
@@ -644,12 +414,11 @@ def _run_plan(
                     f"baseline through injected faults"
                 )
         run.retries = client.retries
-    run.fired = list(proxy.fired)
-    proxy.arm(None)
+    run.fired = proxy.disarm()
 
     if plan.kill:
         daemon = _kill_phase(
-            run, daemon, proxy, cache_path, execute_synthesize, synth_params
+            run, daemon, proxy, cache_path, synth_params
         )
     if plan.flush_fail:
         _flush_fail_phase(run, daemon, synth_params)
@@ -663,22 +432,9 @@ def _run_plan(
             f"daemon unresponsive after plan: {type(exc).__name__}: {exc}"
         )
 
-    # Accounting invariants.
-    if plan.is_empty():
-        if run.fired:
-            run.violations.append(
-                f"control plan fired {len(run.fired)} fault(s)"
-            )
-        if run.retries:
-            run.violations.append(
-                f"control plan needed {run.retries} retry(ies)"
-            )
-    elif plan.faults:
-        if len(run.fired) != len(plan.faults):
-            run.violations.append(
-                f"{len(plan.faults)} fault(s) planned but {len(run.fired)} "
-                f"fired"
-            )
+    # Accounting invariants (the control's are the sweep's).
+    if plan.faults:
+        kernel.check_all_fired(run, plan.faults, run.fired)
         if run.retries < len(run.fired):
             run.violations.append(
                 f"{len(run.fired)} fault(s) fired but only {run.retries} "
@@ -692,12 +448,12 @@ def _kill_phase(
     daemon: DaemonProcess,
     proxy: ChaosProxy,
     cache_path: str,
-    execute_synthesize,
     synth_params: Dict[str, object],
 ) -> DaemonProcess:
     """SIGKILL the daemon while a cold request is in flight, verify the
     cache file survived, restart, and require the in-flight call to end
     in bit-identity or a typed error."""
+    from .service import execute_synthesize
     from .store import SimCacheStore
 
     cold_params = dict(synth_params)

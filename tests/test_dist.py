@@ -31,7 +31,6 @@ from repro.core import (
     synthesize_layout,
 )
 from repro.schedule.anneal import AnnealConfig
-from repro.search import DistChaosPlan, DistFault
 from repro.search.dist import (
     DistCoordinator,
     DistError,
@@ -47,6 +46,7 @@ from repro.search.dist import (
     run_dist_worker,
     run_serial_baseline,
 )
+from repro.search.dist.chaos import DistChaosPlan, run_dist_chaos
 from repro.search.dist.messages import (
     DIST_PROTOCOL,
     JOB_FORMAT,
@@ -389,6 +389,25 @@ class TestDistChaosPlan:
         assert any(p.wire_faults for p in plans)
         assert any(p.kill_worker for p in plans)
         assert any(p.dispatch_faults for p in plans)
+
+
+@pytest.mark.timeout(300)
+class TestDistChaosSweep:
+    def test_small_sweep_holds_all_invariants(self):
+        """Three plans: the control, dispatch faults, then wire faults
+        plus an external worker SIGKILL."""
+        report = run_dist_chaos(plans=3)
+        assert report.ok, report.describe()
+        control, faulted, wired = report.runs
+        assert control.plan.is_empty() and not control.wire_fired
+        assert faulted.plan.dispatch_faults
+        assert wired.plan.wire_faults and wired.plan.kill_worker
+        assert sorted(wired.wire_fired) == sorted(
+            (fault.key, fault.kind) for fault in wired.plan.wire_faults
+        )
+        payload = report.as_dict()
+        assert payload["schema"] == "repro.search/dist-chaos-report-v2"
+        assert payload["runs"][2]["wire_fired"]
 
 
 class TestPipelineIntegration:

@@ -34,6 +34,7 @@ from test_search import (
 )
 
 from repro.bench import benchmark_names, get_spec, load_benchmark
+from repro.chaos import Fault
 from repro.core import SynthesisOptions, synthesize_layout
 from repro.obs import CheckpointWritten, PoolRebuild, WorkerRetry
 from repro.schedule.anneal import (
@@ -45,7 +46,6 @@ from repro.search import (
     CHECKPOINT_FORMAT,
     CheckpointError,
     HostChaosPlan,
-    HostFault,
     RetryPolicy,
     SearchCheckpoint,
     SerialEvaluator,
@@ -79,7 +79,7 @@ def _cycles(outcome):
 
 def crash_plan(*dispatches):
     return HostChaosPlan(
-        faults=tuple(HostFault(d, "crash") for d in dispatches)
+        faults=tuple(Fault(d, "crash") for d in dispatches)
     )
 
 
@@ -110,7 +110,7 @@ class TestSupervisedEvaluator:
 
     def test_injected_hang_breaches_deadline_and_is_rescued(self):
         layouts = _keyword_layout_pool(count=4)
-        chaos = HostChaosPlan(faults=(HostFault(1, "hang"),))
+        chaos = HostChaosPlan(faults=(Fault(1, "hang"),))
         serial, supervised = _keyword_evaluators(chaos=chaos)
         with serial, supervised:
             expected = _cycles(serial.evaluate(layouts))
@@ -221,7 +221,7 @@ class TestHostChaosHarness:
         second = HostChaosPlan.make(2, seed=9, horizon=50)
         assert first == second
         assert not first.is_empty()
-        assert all(f.dispatch < 50 for f in first.faults)
+        assert all(f.key < 50 for f in first.faults)
 
     def test_sweep_invariants_hold(self):
         compiled = load_benchmark("Keyword")
@@ -246,6 +246,20 @@ class TestHostChaosHarness:
         assert fired >= 1
         assert report.total("worker_retries") >= fired
         assert "all invariants held" in report.describe()
+
+    def test_cli_sweep_exits_zero(self, capsys):
+        # The CI search-resilience step: fault ids must stay below the
+        # control run's dispatch count, or a plan fires nothing.
+        from repro.cli import main
+
+        rc = main([
+            "run", get_spec("Keyword").path, "24", "--cores", "4",
+            "--workers", "2", "--host-chaos", "3",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "all invariants held" in out
+        assert " 0 retry(ies)" not in out
 
     def test_diverged_result_is_flagged(self):
         # The checker itself must catch a lying run.

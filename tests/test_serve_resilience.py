@@ -22,13 +22,13 @@ import pytest
 
 from conftest import KEYWORD_SOURCE
 
+from repro.chaos import Fault
 from repro.search.storage import StorageError
 from repro.serve import (
     MAX_LINE_BYTES,
     ChaosProxy,
     ClientRetryPolicy,
     NetChaosPlan,
-    NetFault,
     ProtocolError,
     ServeClient,
     ServeConfig,
@@ -133,11 +133,7 @@ class TestRetryingClient:
             for kind in ("reset", "truncate", "garbage"):
                 proxy = ChaosProxy(handle.port)
                 try:
-                    proxy.arm(
-                        NetChaosPlan(
-                            faults=(NetFault(request=0, kind=kind),), seed=0
-                        )
-                    )
+                    proxy.arm((Fault(key=0, kind=kind),))
                     with ServeClient(
                         proxy.host,
                         proxy.port,
@@ -157,11 +153,7 @@ class TestRetryingClient:
                 warm.call("synthesize", **REQUEST)
             proxy = ChaosProxy(handle.port, delay_seconds=1.0)
             try:
-                proxy.arm(
-                    NetChaosPlan(
-                        faults=(NetFault(request=0, kind="delay"),), seed=0
-                    )
-                )
+                proxy.arm((Fault(key=0, kind="delay"),))
                 with ServeClient(
                     proxy.host,
                     proxy.port,
@@ -570,7 +562,7 @@ class TestNetChaosPlans:
             plan = NetChaosPlan.make(index, seed=index, horizon=3)
             for fault in plan.faults:
                 assert fault.kind in PROXY_FAULT_KINDS
-                assert 0 <= fault.request < 3
+                assert 0 <= fault.key < 3
 
     def test_sweep_covers_server_side_faults(self):
         plans = [NetChaosPlan.make(i, seed=i) for i in range(6)]
@@ -609,9 +601,9 @@ class TestNetChaosSweep:
         assert report.runs[0].retries == 0
         assert report.runs[1].plan.flush_fail
         assert report.runs[2].plan.kill
-        assert report.total_fired() >= 1
+        assert report.total("fired") >= 1
         payload = report.as_dict()
-        assert payload["format"] == "repro.serve/net-chaos-report-v1"
+        assert payload["schema"] == "repro.serve/net-chaos-report-v2"
         assert payload["ok"] is True
         json.dumps(payload)  # artifact must be JSON-serializable
 
