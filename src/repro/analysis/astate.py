@@ -21,6 +21,23 @@ class AState:
     flags: FrozenSet[str]
     tags: Tuple[Tuple[str, int], ...] = ()
 
+    #: the cached hash (a class default, not a dataclass field)
+    _hash = None
+
+    def __hash__(self) -> int:
+        # The scheduling simulator's memo tables hash states on every route
+        # and dispatch, so the hash is computed once per instance. It
+        # depends on PYTHONHASHSEED; __reduce__ keeps it out of pickles, so
+        # a state shipped to another process rehashes there.
+        value = self._hash
+        if value is None:
+            value = hash((self.flags, self.tags))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __reduce__(self):
+        return (AState, (self.flags, self.tags))
+
     def _sort_key(self):
         return (tuple(sorted(self.flags)), self.tags)
 

@@ -50,7 +50,7 @@ from ..lang.errors import ScheduleError
 from ..obs import prof
 from ..runtime.profiler import ProfileData
 from .coregroup import GroupGraph, build_group_graph, task_is_replicable
-from .critpath import compute_critical_path, suggest_moves
+from .critpath import Move, compute_critical_path, suggest_moves
 from .layout import Layout
 from .mapping import (
     random_layouts,
@@ -63,7 +63,8 @@ from .simulator import SimResult
 
 _P_ITERATION = prof.intern_phase("anneal.iteration")
 _P_EVALUATE = prof.intern_phase("anneal.evaluate")
-_P_CANDIDATES = prof.intern_phase("anneal.candidates")
+_P_CRITPATH = prof.intern_phase("anneal.critpath")
+_P_MOVES = prof.intern_phase("anneal.moves")
 _P_CHECKPOINT = prof.intern_phase("anneal.checkpoint")
 
 
@@ -234,18 +235,13 @@ class DirectedSimulatedAnnealing:
 
     # -- neighbor generation ----------------------------------------------------------
 
-    def _critical_path_neighbors(
+    def _critical_path_moves(
         self, layout: Layout, result: SimResult
-    ) -> List[Layout]:
-        neighbors: List[Layout] = []
+    ) -> List[Move]:
         path = compute_critical_path(result)
-        for move in suggest_moves(
+        return suggest_moves(
             result, layout, path, max_moves=self.config.moves_per_candidate
-        ):
-            neighbors.extend(self._apply_move(
-                layout, move.task, move.from_core, move.to_core
-            ))
-        return neighbors
+        )
 
     def _apply_move(
         self, layout: Layout, task: str, from_core: int, to_core: int
@@ -492,12 +488,16 @@ class DirectedSimulatedAnnealing:
                         seen.add(key)
                         next_candidates.append(layout)
 
-                with prof.phase(_P_CANDIDATES):
-                    for cycles, layout, result in kept:
+                for cycles, layout, result in kept:
+                    moves: List[Move] = []
+                    if config.use_critical_path:
+                        with prof.phase(_P_CRITPATH):
+                            moves = self._critical_path_moves(layout, result)
+                    with prof.phase(_P_MOVES):
                         push(layout)
-                        if config.use_critical_path:
-                            for neighbor in self._critical_path_neighbors(
-                                layout, result
+                        for move in moves:
+                            for neighbor in self._apply_move(
+                                layout, move.task, move.from_core, move.to_core
                             ):
                                 push(neighbor)
                         for neighbor in self._random_neighbors(layout):

@@ -16,11 +16,17 @@ a core that delays a key event is the second kind of move.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from .layout import Layout
 from .simulator import SimResult, TraceEvent
+
+_START_ORDER = attrgetter("start", "event_id")
+_END_ORDER = attrgetter("end", "event_id")
 
 
 @dataclass
@@ -84,13 +90,13 @@ def compute_critical_path(result: SimResult) -> CriticalPath:
     for event in result.trace:
         by_core.setdefault(event.core, []).append(event)
     for core_events in by_core.values():
-        core_events.sort(key=lambda e: (e.start, e.event_id))
+        core_events.sort(key=_START_ORDER)
         previous = None
         for event in core_events:
             prev_on_core[event.event_id] = previous
             previous = event
 
-    last = max(result.trace, key=lambda e: (e.end, e.event_id))
+    last = max(result.trace, key=_END_ORDER)
     steps: List[PathStep] = []
     current: Optional[TraceEvent] = last
     seen: Set[int] = set()
@@ -136,30 +142,50 @@ class Move:
     reason: str
 
 
-def _core_busy_intervals(
+def _busy_index(
     result: SimResult,
-) -> Dict[int, List[Tuple[int, int]]]:
+) -> Dict[int, Tuple[List[int], List[int]]]:
+    """Per core: its event start times in ascending order, and for each
+    prefix of that order the latest end time among its events."""
     intervals: Dict[int, List[Tuple[int, int]]] = {}
     for event in result.trace:
         intervals.setdefault(event.core, []).append((event.start, event.end))
-    for core in intervals:
-        intervals[core].sort()
-    return intervals
+    index: Dict[int, Tuple[List[int], List[int]]] = {}
+    for core, spans in intervals.items():
+        spans.sort()
+        index[core] = (
+            [start for start, _ in spans],
+            list(accumulate((end for _, end in spans), max)),
+        )
+    return index
+
+
+def _spare_cores(
+    index: Dict[int, Tuple[List[int], List[int]]],
+    num_cores: int,
+    start: int,
+    end: int,
+) -> List[int]:
+    spare: List[int] = []
+    for core in range(num_cores):
+        entry = index.get(core)
+        if entry is not None:
+            starts, reach = entry
+            # The events starting before ``end`` are a prefix; one of them
+            # overlaps [start, end) iff the latest of their ends is past
+            # ``start``.
+            before = bisect_left(starts, end)
+            if before and reach[before - 1] > start:
+                continue
+        spare.append(core)
+    return spare
 
 
 def spare_cores_during(
     result: SimResult, layout: Layout, start: int, end: int
 ) -> List[int]:
     """Cores with no simulated activity overlapping [start, end)."""
-    intervals = _core_busy_intervals(result)
-    spare: List[int] = []
-    for core in range(layout.num_cores):
-        overlapping = any(
-            s < end and start < e for s, e in intervals.get(core, ())
-        )
-        if not overlapping:
-            spare.append(core)
-    return spare
+    return _spare_cores(_busy_index(result), layout.num_cores, start, end)
 
 
 def suggest_moves(
@@ -194,10 +220,11 @@ def suggest_moves(
         (s for s in path.steps if s.is_delayed),
         key=lambda s: -s.delay,
     )
+    index = _busy_index(result) if delayed else {}
     for step in delayed:
         event = step.event
         window_start = max(0, event.data_ready)
-        spare = spare_cores_during(result, layout, window_start, event.start)
+        spare = _spare_cores(index, layout.num_cores, window_start, event.start)
         for core in spare[:2]:
             add(
                 "migrate",
@@ -209,12 +236,11 @@ def suggest_moves(
         if len(moves) >= max_moves:
             return moves[:max_moves]
 
-    # 2. Non-key events that precede key events on the same core.
+    # 2. Non-key events that precede key events on the same core. A
+    # core's busy cycles are the summed durations of its trace events.
+    busy = result.core_busy
     least_loaded = sorted(
-        range(layout.num_cores),
-        key=lambda c: sum(
-            e.duration for e in result.trace if e.core == c
-        ),
+        range(layout.num_cores), key=lambda c: busy.get(c, 0)
     )
     for current, nxt in zip(path.steps, path.steps[1:]):
         if (

@@ -1,5 +1,11 @@
 """Abstract state and guard evaluation tests."""
 
+import copy as copy_module
+import os
+import pickle
+import subprocess
+import sys
+
 from repro.analysis.astate import (
     AState,
     eval_flag_expr,
@@ -100,3 +106,69 @@ class TestRuntimeStates:
         assert runtime_guard_matches(flag_param(ast.FlagRef("ready")), obj)
         obj.set_flag("ready", False)
         assert not runtime_guard_matches(flag_param(ast.FlagRef("ready")), obj)
+
+
+_PICKLE_STATES = """
+import pickle, sys
+from repro.analysis.astate import AState
+
+states = [
+    AState.make(["process", "submit"], {"link": 1}),
+    AState.make(["done"], {"link": 2, "pair": 1}),
+    AState.make(),
+]
+for state in states:
+    hash(state)  # fill the cached hash before pickling
+memo = {state: index for index, state in enumerate(states)}
+sys.stdout.buffer.write(pickle.dumps((states, memo)))
+"""
+
+_LOAD_STATES = """
+import pickle, sys
+from repro.analysis.astate import AState
+
+states, memo = pickle.loads(sys.stdin.buffer.read())
+local = [
+    AState.make(["process", "submit"], {"link": 1}),
+    AState.make(["done"], {"link": 2, "pair": 1}),
+    AState.make(),
+]
+assert [memo[state] for state in local] == [0, 1, 2]
+assert [{s: i for i, s in enumerate(local)}[s] for s in states] == [0, 1, 2]
+assert [hash(s) for s in states] == [hash(s) for s in local]
+print("ok")
+"""
+
+
+class TestPickledStates:
+    def test_cached_hash_is_not_pickled(self):
+        state = AState.make(["a", "b"], {"t": 2})
+        hash(state)
+        assert "_hash" in vars(state)
+        copy = pickle.loads(pickle.dumps(state))
+        assert "_hash" not in vars(copy)
+        assert copy == state and hash(copy) == hash(state)
+        deep = copy_module.deepcopy(state)
+        assert "_hash" not in vars(deep) and deep == state
+
+    def test_states_hit_across_hash_seeds(self):
+        """States and memo dicts pickled where one PYTHONHASHSEED holds
+        must be found by freshly built states where another holds — the
+        situation of a worker pool or a dist worker."""
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+        )
+
+        def python(code, seed, data=None):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            return subprocess.run(
+                [sys.executable, "-c", code],
+                input=data,
+                env=env,
+                capture_output=True,
+                check=True,
+            ).stdout
+
+        payload = python(_PICKLE_STATES, seed=1)
+        assert b"_hash" not in payload
+        assert python(_LOAD_STATES, seed=2, data=payload).strip() == b"ok"
