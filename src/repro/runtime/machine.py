@@ -209,7 +209,7 @@ class ManyCoreMachine:
         }
         self._events: List[Tuple[int, int, str, tuple]] = []
         self._seq = 0
-        self._rr_state: Dict[Tuple[int, str], int] = {}
+        self._rr_state: Dict[str, Dict[int, int]] = {}
         self._sched_clock = 0  # centralized-scheduler serialization point
         self._commits: Dict[int, _Commit] = {}
         self._commit_id = 0
