@@ -5,7 +5,8 @@ any application code**: task durations, exit choices, and allocation counts
 all come from the profile's Markov model. The simulator mirrors the real
 runtime's structure — per-core parameter sets, FIFO invocation formation,
 round-robin/tag-hash routing, mesh transfer latencies — but moves abstract
-objects that carry only (class, abstract state).
+objects that carry only an id of their (class, abstract state) pair in the
+program's finite state model.
 
 Exit selection follows the paper's count-matching policy: the simulator
 keeps a count per destination and picks the exit minimizing the difference
@@ -30,16 +31,16 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter_ns as _perf_counter_ns
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.api import CompiledProgram
 
-from ..analysis.astate import AState, guard_matches
+from ..analysis.astate import AState
 from ..ir import costs
 from ..lang.errors import ScheduleError
 from ..obs import prof
@@ -89,23 +90,30 @@ _MSG_SEND = costs.MSG_SEND_COST
 _HOP = costs.HOP_COST
 _MSG_WORD = costs.MSG_WORD_COST
 
+#: the (class, state) of the object every simulation starts from
+_STARTUP = (builtins.STARTUP_CLASS, AState.make([builtins.STARTUP_FLAG]))
+
 
 class SimObject:
-    """An abstract object: identity, class, state, optional tag key."""
+    """An abstract object: identity, state id, optional tag key.
 
-    __slots__ = ("obj_id", "class_name", "state", "tag_key")
+    ``sid`` indexes :attr:`_ProgramTables.states`, the program's finite
+    set of reachable (class, abstract state) pairs.
+    """
 
-    def __init__(self, obj_id: int, class_name: str, state: AState,
-                 tag_key: Optional[int] = None):
+    __slots__ = ("obj_id", "sid", "tag_key")
+
+    def __init__(self, obj_id: int, sid: int, tag_key: Optional[int] = None):
         self.obj_id = obj_id
-        self.class_name = class_name
-        self.state = state
+        self.sid = sid
         self.tag_key = tag_key
 
 
-@dataclass
-class TraceEvent:
-    """One simulated task invocation (a node pair in the Fig. 6 graph)."""
+class TraceEvent(NamedTuple):
+    """One simulated task invocation (a node pair in the Fig. 6 graph).
+
+    An immutable record, built once when the invocation is dispatched.
+    """
 
     event_id: int
     task: str
@@ -114,21 +122,14 @@ class TraceEvent:
     end: int
     exit_id: int
     data_ready: int
-    param_objects: List[int] = field(default_factory=list)
+    param_objects: Tuple[int, ...] = ()
     #: per parameter: (producer event id, transfer latency paid)
-    inputs: List[Tuple[Optional[int], int]] = field(default_factory=list)
-    produced: List[int] = field(default_factory=list)
+    inputs: Tuple[Tuple[Optional[int], int], ...] = ()
+    produced: Tuple[int, ...] = ()
 
     @property
     def duration(self) -> int:
         return self.end - self.start
-
-    def __reduce__(self):
-        # SimResult traces dominate the pool's IPC payloads; positional
-        # pickling cuts the per-event cost vs. the default __dict__ form.
-        return (TraceEvent, (self.event_id, self.task, self.core, self.start,
-                             self.end, self.exit_id, self.data_ready,
-                             self.param_objects, self.inputs, self.produced))
 
 
 @dataclass
@@ -242,40 +243,41 @@ class ExitChooser:
         return best_exit
 
 
-# -- shared program tables -----------------------------------------------------
+# -- the program's state model ------------------------------------------------
 
 
 class _ExitInfo:
-    """Memoized per-(task, exit) dispatch consequences."""
+    """What one task exit does, resolved once per program."""
 
-    __slots__ = ("duration", "spec", "steps", "allocs")
+    __slots__ = ("duration", "spec", "moves", "allocs")
 
     def __init__(self, duration: int, spec, nparams: int, allocs: tuple):
         #: cycles on a baseline-speed core
         self.duration = duration
         #: the IR exit spec, or None when the task has no such exit
         self.spec = spec
-        #: per parameter: {state -> (new_state, tag_mode)} where tag_mode
-        #: 0 leaves tag_key alone, 1 sets it to the invocation's event id,
-        #: 2 clears it (the last tag removal zeroed the count)
-        self.steps = tuple({} for _ in range(nparams))
-        #: (carry key, expected count, class, state, tagged) per alloc site
+        #: per parameter, indexed by the parameter object's sid: its
+        #: ``(sid, tag_mode)`` after the exit, where tag_mode 0 leaves
+        #: tag_key alone, 1 sets it to the invocation's event id and 2
+        #: clears it (the last tag removal zeroed the count); None for a
+        #: state the parameter's guard rejects. The state closure fills
+        #: one dict per parameter, then freezes them into lists.
+        self.moves: tuple = tuple({} for _ in range(nparams))
+        #: (carry index, expected count, sid, tagged) per alloc site
         self.allocs = allocs
 
 
 class _TaskRec:
     """Per-task lookups resolved once and shared across simulations."""
 
-    __slots__ = ("name", "params", "nparams", "guards", "func", "has_exits",
-                 "fallback_exit", "tag_match", "exits")
+    __slots__ = ("name", "nparams", "func", "has_exits", "fallback_exit",
+                 "tag_match", "exits", "accepts")
 
     def __init__(self, compiled: "CompiledProgram", profile: ProfileData,
                  task: str):
+        decl = compiled.info.task_info(task).decl
         self.name = task
-        self.params = tuple(compiled.info.task_info(task).decl.params)
-        self.nparams = len(self.params)
-        #: per-parameter memo of guard_matches(param, state) by state
-        self.guards = tuple({} for _ in self.params)
+        self.nparams = len(decl.params)
         self.func = compiled.ir_program.tasks[task]
         self.has_exits = bool(profile.exit_ids(task))
         # The profiled run never invoked this task (e.g. it lost every
@@ -286,17 +288,20 @@ class _TaskRec:
         )
         #: the parameters share a tag binding, so an invocation forms only
         #: from objects carrying one and the same tag key
-        self.tag_match = common_tag_binding(
-            compiled.info.task_info(task).decl
-        ) is not None
-        #: exit id -> _ExitInfo
-        self.exits: Dict[int, _ExitInfo] = {}
+        self.tag_match = common_tag_binding(decl) is not None
+        #: exit id -> _ExitInfo, for every exit the simulation can choose;
+        #: None until the state closure reaches the task
+        self.exits: Optional[Dict[int, _ExitInfo]] = None
+        #: per parameter, indexed by sid: whether the parameter's guard
+        #: accepts objects in that state
+        self.accepts: tuple = ()
 
 
 def _transition(spec, param_index: int, state: AState) -> Tuple[AState, int]:
-    """Replays one exit's flag/tag actions for one parameter; memoized in
-    :attr:`_ExitInfo.steps` since the outcome depends only on the input
-    state."""
+    """Replays one exit's flag/tag actions for one parameter: the state
+    after the exit and the tag mode of :attr:`_ExitInfo.moves`."""
+    if spec is None:
+        return state, 0
     updates = spec.flag_updates.get(param_index)
     if updates:
         state = state.with_flags(updates)
@@ -335,94 +340,127 @@ class _HopCosts(dict):
 
 
 class _ProgramTables:
-    """Layout-independent lookup tables shared by every simulation of one
-    (program, profile, core-speeds) context — the memo a
-    :class:`SimSession` keeps warm across candidates.
+    """The program's finite state model, plus layout-independent lookup
+    tables shared by every simulation of one (program, profile) pair —
+    the memo a :class:`SimSession` keeps warm across candidates.
 
-    Everything memoized here is a pure function of the program, profile
-    and interconnect shape, so sharing the tables cannot change results;
-    it only removes repeated lookups from the event loop's hot path.
+    Every (class, abstract state) pair a simulated object can occupy is
+    interned once, as a dense *state id* (sid): the closure from the
+    startup object over consumer matches, the transitions of every exit
+    a consumer can take, and those exits' allocation sites. Guards,
+    transitions, consumer matches and allocation targets become lists
+    indexed by sid, so the event loop never hashes an :class:`AState`.
+    States are numbered in discovery order over ``match_consumers``
+    (task-name order), sorted exit ids and sorted allocation sites, so
+    the numbering does not depend on hash order.
+
+    Everything here is a pure function of the program, profile and
+    interconnect shape, so sharing the tables cannot change results.
     """
 
-    __slots__ = ("compiled", "info", "profile", "core_speeds", "_recs",
-                 "_class_size", "_durations", "_consumers", "_hop_costs")
+    __slots__ = ("compiled", "profile", "recs", "states", "consumers",
+                 "remote", "carry_count", "_sids", "_hop_costs")
 
-    def __init__(self, compiled: "CompiledProgram", profile: ProfileData,
-                 core_speeds: Optional[Dict[int, float]] = None):
+    def __init__(self, compiled: "CompiledProgram", profile: ProfileData):
         self.compiled = compiled
-        self.info = compiled.info
         self.profile = profile
-        self.core_speeds = core_speeds
-        self._recs: Dict[str, _TaskRec] = {}
-        self._class_size: Dict[str, int] = {}
-        #: (task, exit_id, core) -> speed-scaled duration
-        self._durations: Dict[Tuple[str, int, int], int] = {}
-        #: (class, state) -> consuming (task, param_index) pairs
-        self._consumers: Dict[Tuple[str, AState], List[Tuple[str, int]]] = {}
+        info = compiled.info
+        self.recs: Dict[str, _TaskRec] = {
+            task: _TaskRec(compiled, profile, task)
+            for task in sorted(info.tasks)
+        }
+        #: sid -> (class, state)
+        self.states: List[Tuple[str, AState]] = []
+        self._sids: Dict[Tuple[str, AState], int] = {}
+        #: alloc sites numbered so far (each owns one carry slot)
+        self.carry_count = 0
+        self._intern(*_STARTUP)
+        #: sid -> consuming (task, param_index) pairs
+        self.consumers: List[Tuple[Tuple[str, int], ...]] = []
+        sid = 0
+        while sid < len(self.states):
+            class_name, state = self.states[sid]
+            found = tuple(match_consumers(info, class_name, state))
+            self.consumers.append(found)
+            for task, param_index in found:
+                rec = self.recs[task]
+                if rec.exits is None:
+                    rec.exits = self._resolve_exits(rec)
+                for exit_info in rec.exits.values():
+                    after, mode = _transition(
+                        exit_info.spec, param_index, state
+                    )
+                    exit_info.moves[param_index][sid] = (
+                        self._intern(class_name, after), mode
+                    )
+            sid += 1
+        count = len(self.states)
+        for rec in self.recs.values():
+            rec.accepts = tuple(
+                [(rec.name, param_index) in found for found in self.consumers]
+                for param_index in range(rec.nparams)
+            )
+            for exit_info in (rec.exits or {}).values():
+                exit_info.moves = tuple(
+                    [moves.get(sid) for sid in range(count)]
+                    for moves in exit_info.moves
+                )
+        #: sid -> remote message latency before hops
+        self.remote: List[int] = [
+            _MSG_SEND + _MSG_WORD * len(info.class_info(class_name).fields)
+            + _ENQUEUE
+            for class_name, _ in self.states
+        ]
         #: (topology, mesh width, cores) -> _HopCosts
         self._hop_costs: Dict[Tuple[str, int, int], _HopCosts] = {}
 
-    def rec(self, task: str) -> _TaskRec:
-        rec = self._recs.get(task)
-        if rec is None:
-            rec = _TaskRec(self.compiled, self.profile, task)
-            self._recs[task] = rec
-        return rec
-
-    def class_size(self, class_name: str) -> int:
-        size = self._class_size.get(class_name)
-        if size is None:
-            size = len(self.info.class_info(class_name).fields)
-            self._class_size[class_name] = size
-        return size
-
-    def consumers(self, class_name: str, state: AState) -> List[Tuple[str, int]]:
+    def _intern(self, class_name: str, state: AState) -> int:
         key = (class_name, state)
-        found = self._consumers.get(key)
-        if found is None:
-            found = match_consumers(self.info, class_name, state)
-            self._consumers[key] = found
-        return found
+        sid = self._sids.get(key)
+        if sid is None:
+            sid = self._sids[key] = len(self.states)
+            self.states.append(key)
+        return sid
 
-    def hop_costs(self, layout: Layout) -> _HopCosts:
-        key = (layout.topology, layout.mesh_width, layout.num_cores)
-        rows = self._hop_costs.get(key)
-        if rows is None:
-            rows = _HopCosts(layout)
-            self._hop_costs[key] = rows
-        return rows
+    def state_id(self, class_name: str, state: AState) -> int:
+        """The sid of ``state`` for objects of ``class_name``; a state no
+        simulated object can reach is a :class:`ScheduleError`."""
+        sid = self._sids.get((class_name, state))
+        if sid is None:
+            raise ScheduleError(
+                f"state {class_name}:{state} is outside the program's "
+                "simulated state model"
+            )
+        return sid
 
-    def exit_info(self, rec: _TaskRec, exit_id: int) -> _ExitInfo:
-        """The memoized consequences of ``rec``'s task taking ``exit_id``
-        (``rec.fallback_exit`` for a task the profile never saw run)."""
-        info = rec.exits.get(exit_id)
-        if info is None:
+    def _resolve_exits(self, rec: _TaskRec) -> Dict[int, _ExitInfo]:
+        """Every exit ``rec``'s task can take in a simulation: the profiled
+        ones (the exit ids and the recorded exit sequence), or
+        ``rec.fallback_exit`` for a task the profile never saw run."""
+        profile = self.profile
+        if rec.has_exits:
+            exit_ids = sorted(
+                set(profile.exit_ids(rec.name)).union(
+                    profile.exit_sequence(rec.name)
+                )
+            )
+        else:
+            exit_ids = [rec.fallback_exit]
+        exits = {}
+        for exit_id in exit_ids:
             if rec.has_exits:
                 duration = max(
-                    1, int(round(self.profile.avg_cycles(rec.name, exit_id)))
+                    1, int(round(profile.avg_cycles(rec.name, exit_id)))
                 )
             else:
                 duration = UNPROFILED_TASK_CYCLES
-            info = _ExitInfo(
+            exits[exit_id] = _ExitInfo(
                 duration,
                 rec.func.exits.get(exit_id),
                 rec.nparams,
                 self._alloc_plan(rec.name, exit_id),
             )
-            rec.exits[exit_id] = info
-        return info
-
-    def duration(self, rec: _TaskRec, exit_id: int, core: int) -> int:
-        """``exit_info(rec, exit_id).duration`` scaled by ``core``'s speed."""
-        key = (rec.name, exit_id, core)
-        cycles = self._durations.get(key)
-        if cycles is None:
-            cycles = scale_duration(
-                self.exit_info(rec, exit_id).duration,
-                core_speed(self.core_speeds, core),
-            )
-            self._durations[key] = cycles
-        return cycles
+        return exits
 
     def _alloc_plan(self, task: str, exit_id: int) -> tuple:
         entries = []
@@ -434,12 +472,22 @@ class _ProgramTables:
                 continue
             flags = [f for f, v in site.flag_inits.items() if v]
             tags = {t: 1 for t in site.tag_types}
-            state = AState.make(flags, tags)
-            entries.append(
-                ((task, exit_id, site_id), avg, site.class_name, state,
-                 bool(site.tag_types))
-            )
+            entries.append((
+                self.carry_count,
+                avg,
+                self._intern(site.class_name, AState.make(flags, tags)),
+                bool(site.tag_types),
+            ))
+            self.carry_count += 1
         return tuple(entries)
+
+    def hop_costs(self, layout: Layout) -> _HopCosts:
+        key = (layout.topology, layout.mesh_width, layout.num_cores)
+        rows = self._hop_costs.get(key)
+        if rows is None:
+            rows = _HopCosts(layout)
+            self._hop_costs[key] = rows
+        return rows
 
 
 # -- the engine ----------------------------------------------------------------
@@ -553,7 +601,7 @@ class _SimEngine:
         self.tables = tables = (
             tables
             if tables is not None
-            else _ProgramTables(compiled, profile, core_speeds)
+            else _ProgramTables(compiled, profile)
         )
         self.chooser = ExitChooser(profile, hints, exit_policy)
         core_list = layout.cores_used()
@@ -568,18 +616,24 @@ class _SimEngine:
         self.ready: Dict[int, deque] = {core: deque() for core in core_list}
         #: the cores whose ready queue is non-empty
         self._waiting: set = set()
-        self._placements: Dict[str, _Placement] = {}
+        placements: Dict[str, _Placement] = {}
         for task, cores in layout.instances:
-            rec = tables.rec(task)
-            self._placements[task] = _Placement(
+            rec = tables.recs[task]
+            placements[task] = _Placement(
                 cores,
                 tuple(_Slot(core, rec, self.ready[core]) for core in cores),
                 rec.nparams > 1,
             )
-        #: (class, state) -> (remote latency before hops, consumer targets)
-        self._plans: Dict[Tuple[str, AState], tuple] = {}
+        #: sid -> (remote latency before hops, ((placement, param_index), ...))
+        self._plans: List[tuple] = [
+            (remote, tuple(
+                (placements[task], param_index) for task, param_index in found
+            ))
+            for remote, found in zip(tables.remote, tables.consumers)
+        ]
         self._hop_costs = tables.hop_costs(layout)
-        self._alloc_carry: Dict[Tuple[str, int, int], float] = {}
+        #: carry index -> fractional allocations not yet emitted
+        self._alloc_carry: List[float] = [0.0] * tables.carry_count
         self.trace: List[TraceEvent] = []
         self.invocations: Dict[str, int] = {}
 
@@ -604,12 +658,7 @@ class _SimEngine:
     def run(self) -> SimResult:
         profiler = None if self._observe is False else prof.active()
 
-        startup = SimObject(
-            self._next_obj_id,
-            builtins.STARTUP_CLASS,
-            AState.make([builtins.STARTUP_FLAG]),
-            None,
-        )
+        startup = SimObject(self._next_obj_id, self.tables.state_id(*_STARTUP))
         self._next_obj_id += 1
         self._route(startup, None, _INIT, None)
 
@@ -912,18 +961,10 @@ class _SimEngine:
         ready = self.ready[core]
         while ready:
             slot, combo = ready.popleft()
-            rec = slot.rec
-            guards = rec.guards
-            params = rec.params
+            accepts = slot.rec.accepts
             stale = None
-            for index in range(rec.nparams):
-                state = combo[index][0].state
-                memo = guards[index]
-                ok = memo.get(state)
-                if ok is None:
-                    ok = guard_matches(params[index], state)
-                    memo[state] = ok
-                if not ok:
+            for index, entry in enumerate(combo):
+                if not accepts[index][entry[0].sid]:
                     if stale is None:
                         stale = {index}
                     else:
@@ -945,37 +986,19 @@ class _SimEngine:
         if not ready:
             self._waiting.discard(core)
 
-        tables = self.tables
+        rec = slot.rec
         task = rec.name
-        data_ready = max(entry[1] for entry in combo)
         if rec.has_exits:
             exit_id = self.chooser.choose(task, combo[0][0].obj_id)
         else:
             exit_id = rec.fallback_exit
-        info = rec.exits.get(exit_id)
-        if info is None:
-            info = tables.exit_info(rec, exit_id)
-        duration = tables.duration(rec, exit_id, core)
+        info = rec.exits[exit_id]
+        duration = scale_duration(
+            info.duration, core_speed(self.core_speeds, core)
+        )
         end = time + duration
-
         event_id = self._next_event_id
         self._next_event_id = event_id + 1
-        event = TraceEvent(
-            event_id,
-            task,
-            core,
-            time,
-            end,
-            exit_id,
-            data_ready,
-            [entry[0].obj_id for entry in combo],
-            [
-                (entry[2], entry[1] - time if entry[1] > time else 0)
-                for entry in combo
-            ],
-            [],
-        )
-        self.trace.append(event)
         invocations = self.invocations
         invocations[task] = invocations.get(task, 0) + 1
         self.core_busy[core] += duration
@@ -984,43 +1007,44 @@ class _SimEngine:
 
         # Transition parameter objects per the exit's flag/tag actions.
         route = self._route
-        spec = info.spec
-        if spec is None:
-            for entry in combo:
-                route(entry[0], core, end, event_id)
-        else:
-            steps = info.steps
-            for param_index, entry in enumerate(combo):
-                obj = entry[0]
-                memo = steps[param_index]
-                state = obj.state
-                hit = memo.get(state)
-                if hit is None:
-                    hit = _transition(spec, param_index, state)
-                    memo[state] = hit
-                new_state, tag_mode = hit
-                if tag_mode:
-                    obj.tag_key = event_id if tag_mode == 1 else None
-                obj.state = new_state
-                route(obj, core, end, event_id)
+        moves = info.moves
+        data_ready = combo[0][1]
+        objs = []
+        inputs = []
+        for index, entry in enumerate(combo):
+            obj, arrived, producer = entry
+            if arrived > data_ready:
+                data_ready = arrived
+            objs.append(obj.obj_id)
+            inputs.append((producer, arrived - time if arrived > time else 0))
+            obj.sid, tag_mode = moves[index][obj.sid]
+            if tag_mode:
+                obj.tag_key = event_id if tag_mode == 1 else None
+            route(obj, core, end, event_id)
 
         # Allocate new objects per the profile's expectations.
+        produced = ()
         if info.allocs:
-            carry_map = self._alloc_carry
-            produced = event.produced
-            for carry_key, avg, class_name, state, has_tags in info.allocs:
-                carry = carry_map.get(carry_key, 0.0) + avg
-                emit = int(carry)
-                carry_map[carry_key] = carry - emit
+            carry = self._alloc_carry
+            made = []
+            for index, avg, sid, tagged in info.allocs:
+                value = carry[index] + avg
+                emit = int(value)
+                carry[index] = value - emit
                 if emit:
-                    tag_key = event_id if has_tags else None
+                    tag_key = event_id if tagged else None
                     next_id = self._next_obj_id
                     self._next_obj_id = next_id + emit
                     for _ in range(emit):
-                        obj = SimObject(next_id, class_name, state, tag_key)
+                        made.append(next_id)
+                        route(SimObject(next_id, sid, tag_key), core, end,
+                              event_id)
                         next_id += 1
-                        produced.append(obj.obj_id)
-                        route(obj, core, end, event_id)
+            produced = tuple(made)
+        self.trace.append(TraceEvent(
+            event_id, task, core, time, end, exit_id, data_ready,
+            tuple(objs), tuple(inputs), produced,
+        ))
 
         # Kick this core at ``end``, and with it (see the class docstring)
         # every other core with ready work that is idle by then.
@@ -1058,21 +1082,6 @@ class _SimEngine:
             self._mail_ns += _perf_counter_ns() - tick
             self._mail_k += 1
 
-    def _plan(self, class_name: str, state: AState) -> tuple:
-        """(remote latency before hops, ((placement, param_index), ...))
-        for objects of ``class_name`` in ``state`` under this layout."""
-        tables = self.tables
-        placements = self._placements
-        plan = (
-            _MSG_SEND + _MSG_WORD * tables.class_size(class_name) + _ENQUEUE,
-            tuple(
-                (placements[task], param_index)
-                for task, param_index in tables.consumers(class_name, state)
-            ),
-        )
-        self._plans[(class_name, state)] = plan
-        return plan
-
     def _route_impl(
         self,
         obj: SimObject,
@@ -1080,10 +1089,7 @@ class _SimEngine:
         time: int,
         producer_event: Optional[int],
     ) -> None:
-        plan = self._plans.get((obj.class_name, obj.state))
-        if plan is None:
-            plan = self._plan(obj.class_name, obj.state)
-        remote, targets = plan
+        remote, targets = self._plans[obj.sid]
         if not targets:
             return
         events = self._events
@@ -1122,7 +1128,8 @@ class SimSession:
     """A reusable simulation context for one (program, profile) pair.
 
     Sharing a session across simulations computes the layout-independent
-    :class:`_ProgramTables` memos once instead of once per layout; each
+    :class:`_ProgramTables` once, at its first simulation (a search that
+    finds every candidate in its cache never builds them); each
     :meth:`simulate` call is still a full, independent simulation, so a
     session's results are exactly a sessionless :func:`simulate`'s.
 
@@ -1146,7 +1153,7 @@ class SimSession:
         self.core_speeds = core_speeds
         self.exit_policy = exit_policy
         self.max_events = max_events
-        self.tables = _ProgramTables(compiled, profile, core_speeds)
+        self.tables: Optional[_ProgramTables] = None
 
     def simulate(
         self,
@@ -1155,6 +1162,8 @@ class SimSession:
         cutoff: Optional[int] = None,
         observe: Optional[bool] = None,
     ) -> SimResult:
+        if self.tables is None:
+            self.tables = _ProgramTables(self.compiled, self.profile)
         engine = _SimEngine(
             self.compiled,
             layout,

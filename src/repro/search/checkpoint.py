@@ -9,12 +9,12 @@ and the simulation cache — so
 and produce a run bit-identical to an uninterrupted one (test-enforced
 per benchmark).
 
-File format (``repro.search/checkpoint-v3``)
+File format (``repro.search/checkpoint-v4``)
 --------------------------------------------
 
 One ASCII JSON header line, then the pickled payload::
 
-    {"format": "repro.search/checkpoint-v3", "digest": "<sha256>", ...}\n
+    {"format": "repro.search/checkpoint-v4", "digest": "<sha256>", ...}\n
     <pickle bytes>
 
 The atomic-write + digest mechanics (tmp + fsync + rename + directory
@@ -42,7 +42,7 @@ from ..lang.errors import BambooError
 from ..schedule.layout import Layout
 from .storage import StorageError, read_pickle_record, write_pickle_record
 
-CHECKPOINT_FORMAT = "repro.search/checkpoint-v3"
+CHECKPOINT_FORMAT = "repro.search/checkpoint-v4"
 
 
 class CheckpointError(BambooError):

@@ -368,6 +368,36 @@ class TestCheckpointFile:
         assert "digest" not in message
         assert "pickle" not in message
 
+    def test_previous_format_refused_before_unpickling(self, tmp_path):
+        """checkpoint-v3 pickled the SimCache's traces with list-valued
+        trace fields. Such a file is refused by its header, so neither
+        read_checkpoint nor a resume ever loads it."""
+        from repro.search.storage import (
+            read_pickle_record,
+            write_pickle_record,
+        )
+
+        compiled = load_benchmark("Tracking")
+        profile = small_profile("Tracking")
+        path = str(tmp_path / "search.ckpt")
+        synthesize_layout(
+            compiled, profile, 4,
+            options=_small_options("Tracking", checkpoint_path=path),
+        )
+        _, checkpoint = read_pickle_record(path, CHECKPOINT_FORMAT)
+        write_pickle_record(path, "repro.search/checkpoint-v3", checkpoint)
+        with pytest.raises(CheckpointError) as excinfo:
+            read_checkpoint(path)
+        message = str(excinfo.value)
+        assert "repro.search/checkpoint-v3" in message
+        assert CHECKPOINT_FORMAT in message
+        assert "pickle" not in message
+        with pytest.raises(CheckpointError, match="checkpoint-v3"):
+            synthesize_layout(
+                compiled, profile, 4,
+                options=_small_options("Tracking", resume=path),
+            )
+
     def test_missing_file_is_a_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             read_checkpoint(str(tmp_path / "absent.ckpt"))
@@ -412,6 +442,42 @@ class TestResume:
             options=_small_options(name, anneal=full, resume=path),
         )
         assert report_fingerprint(resumed) == report_fingerprint(uninterrupted)
+
+    def test_resume_with_warm_sessions_is_bit_identical(self, tmp_path):
+        """Simulation sessions are per-evaluator scratch state and are not
+        written to checkpoints; a resumed search rebuilds them cold. A
+        search interrupted after one iteration and resumed from its
+        checkpoint, while still checkpointing every iteration, retraces
+        the uninterrupted run exactly."""
+        compiled = load_benchmark("Tracking")
+        profile = small_profile("Tracking")
+        anneal = AnnealConfig(seed=7, checkpoint_every=1, **SMALL_ANNEAL)
+        baseline = synthesize_layout(
+            compiled, profile, 4,
+            options=SynthesisOptions(
+                anneal=anneal, hints=get_spec("Tracking").hints
+            ),
+        )
+        short = AnnealConfig(
+            seed=7, checkpoint_every=1,
+            **{**SMALL_ANNEAL, "max_iterations": 1},
+        )
+        path = str(tmp_path / "search.ckpt")
+        synthesize_layout(
+            compiled, profile, 4,
+            options=SynthesisOptions(
+                anneal=short, hints=get_spec("Tracking").hints,
+                checkpoint_path=path,
+            ),
+        )
+        resumed = synthesize_layout(
+            compiled, profile, 4,
+            options=SynthesisOptions(
+                anneal=anneal, hints=get_spec("Tracking").hints,
+                checkpoint_path=path, resume=path,
+            ),
+        )
+        assert report_fingerprint(resumed) == report_fingerprint(baseline)
 
     def test_resume_restores_cache_counters(self, tmp_path):
         from dataclasses import replace

@@ -244,6 +244,34 @@ class TestSimCacheStore:
         assert store.flush() is not None
         assert SimCacheStore(path=path).load().loaded
 
+    def test_previous_format_refused_and_quarantined(self, tmp_path):
+        """A simcache-v1 file pickled traces whose records had list-valued
+        fields. It is refused by its header, before unpickling, so no
+        such trace is ever half-loaded."""
+        from repro.schedule.simulator import SimResult, TraceEvent
+
+        path = str(tmp_path / "simcache.bin")
+        store = SimCacheStore(path=path)
+        old_style = SimResult(
+            total_cycles=10, finished=True,
+            trace=[TraceEvent(0, "t", 0, 0, 10, 1, 0, [0], [(None, 0)], [])],
+            core_busy={0: 10}, invocations={"t": 1}, utilization=1.0,
+        )
+        store.cache_for("ctx").put("fp", old_style)
+        store.flush()
+        _, payload = read_pickle_record(path, SIMCACHE_FORMAT)
+        write_pickle_record(path, "repro.serve/simcache-v1", payload)
+
+        fresh = SimCacheStore(path=path)
+        report = fresh.load()
+        assert report.refused and not report.loaded
+        assert "repro.serve/simcache-v1" in report.error
+        assert SIMCACHE_FORMAT in report.error
+        assert "pickle" not in report.error
+        assert report.quarantined_to == path + ".corrupt"
+        assert fresh.stats()["contexts"] == 0
+        assert fresh.cache_for("ctx").get("fp") is None
+
     def test_quarantine_rotates_newest_first(self, tmp_path):
         path = str(tmp_path / "simcache.bin")
 

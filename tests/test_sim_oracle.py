@@ -137,17 +137,19 @@ def test_heterogeneous_core_speeds(name):
 def test_tiny_max_events_truncate_at_the_same_event(monkeypatch):
     """``max_events`` counts every kicked core, so a budget that runs out
     inside a batch of kicks stops where the reference stopped. The sweep
-    must cut at least one batch of several kicks part way."""
+    must cut at least one batch of several kicks part way, in the
+    unobserved drain and in the profiled one: both take the rule from
+    ``_SimEngine._kick``."""
     compiled = load_benchmark("Fractal")
     profile = small_profile("Fractal")
     layout = candidate_layouts(compiled, profile, 16, seed=5)[2]
-    cut = []
+    cut = {False: [], True: []}
     kick = simulator._SimEngine._kick
 
     def recording_kick(self, core, others, time, processed):
         room = self.max_events - processed
         if others and 0 < room < len(others):
-            cut.append((len(others), room))
+            cut[prof.active() is not None].append((len(others), room))
         return kick(self, core, others, time, processed)
 
     monkeypatch.setattr(simulator._SimEngine, "_kick", recording_kick)
@@ -155,4 +157,5 @@ def test_tiny_max_events_truncate_at_the_same_event(monkeypatch):
         assert_matches_reference(
             compiled, profile, [layout], max_events=max_events
         )
-    assert cut
+    assert cut[False] and cut[True]
+    assert cut[False] == cut[True]

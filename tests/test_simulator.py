@@ -1,17 +1,29 @@
 """Scheduling simulator tests (paper §4.4)."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from repro.bench import PAPER_BENCHMARKS, load_benchmark
+from repro.analysis.astate import AState, guard_matches
+from repro.bench import PAPER_BENCHMARKS, benchmark_names, load_benchmark
 from repro.core import run_layout, single_core_layout
 from repro.lang.errors import ScheduleError
 from repro.runtime.profiler import ProfileData
 from repro.schedule.coregroup import task_is_replicable
-from repro.schedule.layout import Layout
+from repro.schedule import simulator
+from repro.schedule.layout import Layout, match_consumers
 from repro.schedule.mapping import with_instance_added, with_instance_moved
-from repro.schedule.simulator import ExitChooser, SimSession, simulate
+from repro.schedule.simulator import (
+    ExitChooser,
+    SimSession,
+    _ProgramTables,
+    simulate,
+)
+from repro.sema import builtins
 
 from test_search import small_profile
 
@@ -153,6 +165,123 @@ class TestTrace:
             keyword_compiled, quad_layout(keyword_compiled), keyword_profile
         )
         assert result.total_cycles == max(e.end for e in result.trace)
+
+
+    def test_trace_records_are_immutable_tuples(
+        self, keyword_compiled, keyword_profile
+    ):
+        result = simulate(
+            keyword_compiled, quad_layout(keyword_compiled), keyword_profile
+        )
+        for event in result.trace:
+            for values in (event.param_objects, event.inputs, event.produced):
+                assert isinstance(values, tuple)
+            with pytest.raises(AttributeError):
+                event.end = 0
+
+
+def _state_model_dump(names):
+    """Every program's interned states, in sid order, as plain data."""
+    dump = {}
+    for name in names:
+        tables = _ProgramTables(load_benchmark(name), small_profile(name))
+        dump[name] = [
+            (class_name, sorted(state.flags), state.tags)
+            for class_name, state in tables.states
+        ]
+    return dump
+
+
+class TestStateModel:
+    """The finite state model the engine runs on: every (class, state) an
+    object can reach is interned, and the sid-indexed tables agree with
+    the AState-level rules they replace."""
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_closure_is_closed_under_exits_and_allocations(self, name):
+        compiled = load_benchmark(name)
+        profile = small_profile(name)
+        info = compiled.info
+        tables = _ProgramTables(compiled, profile)
+        states = tables.states
+        count = len(states)
+        assert len(set(states)) == count
+        assert states[0] == (
+            builtins.STARTUP_CLASS, AState.make([builtins.STARTUP_FLAG])
+        )
+        assert len(tables.consumers) == len(tables.remote) == count
+        reached = set()
+        for sid, (class_name, state) in enumerate(states):
+            assert tables.state_id(class_name, state) == sid
+            assert list(tables.consumers[sid]) == match_consumers(
+                info, class_name, state
+            )
+            for task, rec in tables.recs.items():
+                params = info.task_info(task).decl.params
+                for index, param in enumerate(params):
+                    assert rec.accepts[index][sid] == (
+                        param.param_type.name == class_name
+                        and guard_matches(param, state)
+                    )
+            for task, param_index in tables.consumers[sid]:
+                reached.add(task)
+                rec = tables.recs[task]
+                for exit_id, exit_info in rec.exits.items():
+                    spec = compiled.ir_program.tasks[task].exits.get(exit_id)
+                    after, _ = simulator._transition(spec, param_index, state)
+                    move = exit_info.moves[param_index][sid]
+                    assert move is not None
+                    assert states[move[0]] == (class_name, after)
+        for task, rec in tables.recs.items():
+            if task not in reached:
+                assert rec.exits is None
+                continue
+            for exit_id, exit_info in rec.exits.items():
+                assert all(len(moves) == count for moves in exit_info.moves)
+                sites = sorted(profile.avg_allocs(task, exit_id).items())
+                expected = []
+                for site_id, avg in sites:
+                    site = compiled.ir_program.alloc_sites[site_id]
+                    flags = [f for f, v in site.flag_inits.items() if v]
+                    tags = {t: 1 for t in site.tag_types}
+                    expected.append(
+                        (avg, (site.class_name, AState.make(flags, tags)))
+                    )
+                assert [
+                    (avg, states[sid]) for _, avg, sid, _ in exit_info.allocs
+                ] == expected
+        assert reached, name
+
+    def test_state_outside_the_model_is_a_schedule_error(self):
+        compiled = load_benchmark("Keyword")
+        tables = _ProgramTables(compiled, small_profile("Keyword"))
+        class_name, state = tables.states[-1]
+        unreachable = state.with_flag("no_such_flag", True)
+        for bad in ((class_name, unreachable), ("NoSuchClass", state)):
+            with pytest.raises(ScheduleError, match="outside"):
+                tables.state_id(*bad)
+
+    def test_numbering_does_not_depend_on_hash_order(self):
+        """The closure walks consumers in task-name order and exits and
+        allocation sites sorted, so sids are the same in every process."""
+        names = benchmark_names()
+        script = (
+            "import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "from test_simulator import _state_model_dump; "
+            "print(json.dumps(_state_model_dump(sys.argv[2:])))"
+        )
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        src_dir = os.path.join(os.path.dirname(tests_dir), "src")
+        dumps = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src_dir)
+            out = subprocess.run(
+                [sys.executable, "-c", script, tests_dir, *names],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+            dumps.append(json.loads(out))
+        assert dumps[0] == dumps[1]
+        assert dumps[0] == json.loads(json.dumps(_state_model_dump(names)))
 
 
 class TestStaleHandling:
